@@ -8,7 +8,6 @@ violations found.
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, ParameterError
 from .runner import (
@@ -52,26 +51,20 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.out is not None:
-        overrides["out_dir"] = args.out
+    overrides = {
+        key: value
+        for key, value in (
+            ("seed", args.seed),
+            ("runs", args.runs),
+            ("horizon", args.horizon),
+            ("out", args.out),
+            ("workers", args.workers),
+        )
+        if value is not None
+    }
     if args.traces:
         overrides["traces"] = True
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        if cfg.grid[-1] > cfg.horizon:
-            from .runner import log_grid
-
-            cfg = replace(cfg, grid=log_grid(cfg.horizon))
+    cfg = load_config(args.config, overrides)
 
     bandit = cfg.bandit_config()
     report = lower_bound_constant(bandit)

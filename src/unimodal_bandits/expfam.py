@@ -82,25 +82,44 @@ class Family:
         if lo > hi:
             raise ParameterError(f"empty mean interval [{lo}, {hi}]")
 
-    def kl_upper_inverse(self, mu_hat, budget):
-        """Largest mean mu' >= mu_hat with kl(mu_hat, mu') <= budget.
-
-        Bisection to absolute tolerance 1e-10 on mu'; a finite upper domain
-        boundary caps the result, otherwise the bracket is grown by doubling
-        first. budget == 0 returns mu_hat exactly.
-        """
+    def _check_inverse_args(self, mu_hat, budget):
         if math.isnan(budget) or budget < 0.0:
             raise ParameterError(f"budget must be >= 0, got {budget!r}")
         self.require_mean_closure(mu_hat)
+
+    def _kl_newton(self, mu, q):
+        """kl(mu, q) and its slope d kl(mu, q) / dq, for mu < q inside the
+        domain; unchecked, as kl_upper_inverse only asks inside its bracket."""
+        raise NotImplementedError
+
+    def _inverse_start(self, mu_hat, budget):
+        """First Newton iterate of kl_upper_inverse, at or above the root;
+        one outside the bracket makes the solver start from its midpoint."""
+        raise NotImplementedError
+
+    def kl_upper_inverse(self, mu_hat, budget):
+        """Largest mean mu' >= mu_hat with kl(mu_hat, mu') <= budget.
+
+        Safeguarded Newton on kl(mu_hat, q) = budget. The bracket [lo, hi]
+        keeps kl(lo) <= budget < kl(hi); a Newton step that leaves it, or
+        an infinite divergence, falls back to bisection, and steps shorter
+        than half the tolerance are lengthened to it so that an iterate
+        converging from one side closes the bracket from the other. Stops
+        once the bracket is 1e-10 wide and returns its lower end. A finite
+        upper domain boundary caps the result; otherwise hi is first grown
+        by doubling. budget == 0 returns mu_hat exactly, budget == inf the
+        top of the domain.
+        """
+        self._check_inverse_args(mu_hat, budget)
         if budget == 0.0 or mu_hat >= self.mean_hi:
             return mu_hat
+        if budget == math.inf:
+            return self.mean_hi
         kl = self.kl
+        newton = self._kl_newton
         lo = mu_hat
-        if math.isfinite(self.mean_hi):
-            hi = self.mean_hi
-            if kl(mu_hat, hi) <= budget:
-                return hi
-        else:
+        hi = self.mean_hi
+        if not math.isfinite(hi):
             step = 1.0 + abs(mu_hat)
             hi = mu_hat + step
             for _ in range(BISECT_MAX_ITER):
@@ -111,14 +130,25 @@ class Family:
                 hi = mu_hat + step
             else:
                 return hi
+        half = 0.5 * BISECT_TOL
+        q = self._inverse_start(mu_hat, budget)
+        if not lo < q < hi:
+            q = 0.5 * (lo + hi)
         for _ in range(BISECT_MAX_ITER):
             if hi - lo <= BISECT_TOL:
                 break
-            mid = 0.5 * (lo + hi)
-            if kl(mu_hat, mid) <= budget:
-                lo = mid
+            f, s = newton(mu_hat, q)
+            f -= budget
+            if f > 0.0:
+                hi = q
             else:
-                hi = mid
+                lo = q
+            step = f / s if s > 0.0 else math.inf
+            if abs(step) < half:
+                step = half if f > 0.0 else -half
+            q -= step
+            if not lo < q < hi:
+                q = 0.5 * (lo + hi)
         return lo
 
     def __repr__(self):
@@ -170,35 +200,18 @@ class Bernoulli(Family):
     def posterior_mean_sample(self, count, total, rng):
         return rng.beta(1.0 + total, 1.0 + count - total)
 
-    def kl_upper_inverse(self, mu_hat, budget):
-        # same bisection as the base class with the divergence inlined;
-        # this sits on the hot path of confidence-bound baselines
-        if math.isnan(budget) or budget < 0.0:
-            raise ParameterError(f"budget must be >= 0, got {budget!r}")
-        if not 0.0 <= mu_hat <= 1.0:
-            raise ParameterError(f"bernoulli mean {mu_hat!r} outside [0, 1]")
-        if budget == 0.0 or mu_hat >= 1.0:
-            return mu_hat
-        if budget == math.inf:
-            return 1.0
-        log = math.log
-        log1p = math.log1p
-        x = mu_hat
-        cx = 1.0 - x
-        lo = x
-        hi = 1.0
-        for _ in range(BISECT_MAX_ITER):
-            if hi - lo <= BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            div = cx * log1p((mid - x) / (1.0 - mid))
-            if x > 0.0:
-                div += x * log(x / mid)
-            if div <= budget:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def _kl_newton(self, mu, q):
+        # kl's sum without its domain checks; a + b == b + a, so the value
+        # is bit-identical to kl(mu, q)
+        div = (1.0 - mu) * math.log1p((q - mu) / (1.0 - q))
+        if mu > 0.0:
+            div += mu * math.log(mu / q)
+        return div, (q - mu) / (q * (1.0 - q))
+
+    def _inverse_start(self, mu_hat, budget):
+        # Pinsker: kl >= 2 (mu' - mu)^2, so this cap lies at or above the
+        # root, and kl is convex in mu': Newton comes down monotonically
+        return mu_hat + math.sqrt(0.5 * budget)
 
 
 class Gaussian(Family):
@@ -236,6 +249,15 @@ class Gaussian(Family):
 
     def posterior_mean_sample(self, count, total, rng):
         return rng.normal(total / count, math.sqrt(self.sigma2 / count))
+
+    def kl_upper_inverse(self, mu_hat, budget):
+        # closed form; stepping down an ulp at a time absorbs the rounding
+        # that can put kl a hair above the budget
+        self._check_inverse_args(mu_hat, budget)
+        out = mu_hat + math.sqrt(2.0 * self.sigma2 * budget)
+        while out < math.inf and self.kl(mu_hat, out) > budget:
+            out = math.nextafter(out, mu_hat)
+        return out
 
     def __repr__(self):
         return f"Gaussian(variance={self.sigma2!r})"
@@ -279,6 +301,18 @@ class Exponential(Family):
     def posterior_mean_sample(self, count, total, rng):
         # conjugate Gamma posterior on the rate; invert one rate draw
         return 1.0 / rng.gamma(1.0 + count, 1.0 / (1.0 + total))
+
+    def _kl_newton(self, mu, q):
+        if mu <= 0.0:
+            return math.inf, 0.0
+        d = q - mu
+        return math.log1p(d / mu) - d / q, d / q / q
+
+    def _inverse_start(self, mu_hat, budget):
+        # kl(mu, q) >= (q - mu)^2 / (2 q^2), the variance bound over [mu, q],
+        # so this lies at or above the root whenever it is finite
+        r = math.sqrt(2.0 * budget)
+        return mu_hat / (1.0 - r) if r < 1.0 else math.inf
 
 
 def make_family(kind, variance=None):

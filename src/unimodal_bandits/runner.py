@@ -275,12 +275,28 @@ def parse_config(data):
     return cfg
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """Read a JSON config file and validate it with parse_config.
+
+    overrides replace top-level fields of the file before validation, so
+    command-line values pass the same checks. A grid given as
+    {"points": N} or left out follows an overridden horizon; a grid given
+    as a list must end at it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if overrides and isinstance(data, dict):
+        horizon = overrides.get("horizon", data.get("horizon"))
+        grid = data.get("grid")
+        if isinstance(grid, list) and grid and horizon != data.get("horizon") and grid[-1] != horizon:
+            raise ConfigError(
+                f"grid: the listed grid ends at {grid[-1]!r}, not at the overriding "
+                f'horizon {horizon!r}; list times up to it or use {{"points": N}}'
+            )
+        data = {**data, **overrides}
     return parse_config(data)
 
 

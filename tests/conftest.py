@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,49 @@ from unimodal_bandits import (
     PullStats,
     line_graph,
 )
+from unimodal_bandits.expfam import BISECT_MAX_ITER, BISECT_TOL
 
 # nine-arm hill over a path: single peak at arm 4, symmetric slopes
 HILL_MEANS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.20, 0.15, 0.10, 0.05)
 
 FAMILIES = [Bernoulli(), Gaussian(0.25), Exponential()]
+
+
+def bisect_kl_upper_inverse(family, mu_hat, budget):
+    """Reference KL upper inverse: plain bisection on kl(mu_hat, q) <= budget.
+
+    The package's first solver, kept as the oracle for the Newton solver.
+    A finite domain top caps the bracket; otherwise it grows by doubling.
+    Returns the lower end of a bracket at most 1e-10 wide.
+    """
+    if budget == 0.0 or mu_hat >= family.mean_hi:
+        return mu_hat
+    kl = family.kl
+    lo = mu_hat
+    if math.isfinite(family.mean_hi):
+        hi = family.mean_hi
+        if kl(mu_hat, hi) <= budget:
+            return hi
+    else:
+        step = 1.0 + abs(mu_hat)
+        hi = mu_hat + step
+        for _ in range(BISECT_MAX_ITER):
+            if kl(mu_hat, hi) > budget:
+                break
+            lo = hi
+            step *= 2.0
+            hi = mu_hat + step
+        else:
+            return hi
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= BISECT_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if kl(mu_hat, mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def make_stats(counts, means):

@@ -12,13 +12,12 @@ from scipy import integrate
 from unimodal_bandits import (
     Bernoulli,
     Exponential,
-    Family,
     Gaussian,
     ParameterError,
     make_family,
 )
 
-from conftest import FAMILIES
+from conftest import FAMILIES, bisect_kl_upper_inverse
 
 
 def mean_grid(family, n=12, pad=0.0):
@@ -305,16 +304,39 @@ def test_inverse_at_domain_top():
     assert Bernoulli().kl_upper_inverse(1.0, 3.0) == 1.0
 
 
-def test_inverse_bernoulli_fast_path_matches_generic():
-    bern = Bernoulli()
+def inverse_inputs(family, rng, n=3000):
+    """Random (mu_hat, budget) pairs plus the edge cases of each family."""
+    if family.name == "bernoulli":
+        mus = rng.uniform(0.0, 1.0, n)
+        edge_mus = [0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0]
+    elif family.name == "gaussian":
+        mus = rng.normal(0.0, 2.0, n)
+        edge_mus = [0.0, -1e3, 1e3]
+    else:
+        mus = rng.exponential(1.0, n)
+        edge_mus = [0.0, 1e-12, 1.0, 1e6]
+    budgets = 10.0 ** rng.uniform(-12.0, 1.5, n)
+    pairs = list(zip(mus.tolist(), budgets.tolist()))
+    edge_budgets = [0.0, 1e-12, 1e-9, 1e-6, 0.01, 1.0, 10.0, math.inf]
+    if family.name == "exponential":
+        # the root passes the doubling phase's cap above about 140
+        edge_budgets += [50.0, 200.0, 1e3, 1e6]
+    pairs += [(m, b) for m in edge_mus for b in edge_budgets]
+    return pairs
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_inverse_matches_bisection_oracle(family):
     rng = np.random.default_rng(17)
-    for _ in range(500):
-        mu = float(rng.uniform(0.0, 1.0))
-        budget = float(rng.exponential(0.7))
-        assert bern.kl_upper_inverse(mu, budget) == Family.kl_upper_inverse(
-            bern, mu, budget
-        )
-    assert bern.kl_upper_inverse(0.0, 0.2) == Family.kl_upper_inverse(bern, 0.0, 0.2)
+    for mu, budget in inverse_inputs(family, rng):
+        out = family.kl_upper_inverse(mu, budget)
+        if budget == math.inf:
+            # every mean fits an infinite budget
+            assert out == family.mean_hi, (mu, out)
+            continue
+        oracle = bisect_kl_upper_inverse(family, mu, budget)
+        assert abs(out - oracle) <= 1e-10, (mu, budget, out, oracle)
+        assert family.kl(mu, out) <= budget, (mu, budget, out)
 
 
 def kl_target_slope(family, mu, out):

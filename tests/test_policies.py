@@ -23,7 +23,7 @@ from unimodal_bandits import (
     transport_kl,
 )
 
-from conftest import HILL_MEANS, make_stats
+from conftest import FAMILIES, HILL_MEANS, bisect_kl_upper_inverse, make_stats
 
 
 BERN = Bernoulli()
@@ -202,6 +202,25 @@ def test_osub_forced_rounds_follow_schedule():
     pulls = [policy.select(stats) for _ in range(9)]
     # leader (arm 0) is pulled on leader-rounds 1, 4, 7
     assert [pulls[i] for i in (0, 3, 6)] == [0, 0, 0]
+
+
+def osub_hill_actions(family, seed):
+    """OSUB's actions on the hill for run `seed` of the acceptance study."""
+    res = simulate_policy_run(
+        family, HILL_MEANS, line_graph(9), PolicySpec("osub"),
+        seed_sequence(20260810, seed, 2), 5000, record_actions=True,
+    )
+    return res.actions
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_osub_actions_match_bisection_oracle(family, monkeypatch):
+    # the solver returns within 1e-10 of the bisection; no index comparison
+    # on these runs is that close, so every decision agrees
+    solver = [osub_hill_actions(family, seed) for seed in range(10)]
+    monkeypatch.setattr(type(family), "kl_upper_inverse", bisect_kl_upper_inverse)
+    for seed, actions in enumerate(solver):
+        assert osub_hill_actions(family, seed) == actions, seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Harness tests: seed derivation, config parsing, determinism across
 worker counts, output emission, trace round-trips, CLI behavior."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimodal_bandits import (
     ConfigError,
@@ -415,7 +420,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 
 
 def test_cli_overrides(tmp_path, capsys):
-    cfg_path = write_cli_config(tmp_path)
+    # a {"points": N} grid follows the overriding horizon
+    cfg_path = write_cli_config(tmp_path, grid={"points": 20})
     out_dir = tmp_path / "alt"
     code = cli_main(
         ["run", str(cfg_path), "--runs", "1", "--horizon", "80", "--out", str(out_dir),
@@ -426,6 +432,60 @@ def test_cli_overrides(tmp_path, capsys):
     assert saved["runs"] == 1
     assert saved["horizon"] == 80
     assert saved["seed"] == 123
+    assert saved["grid"] == list(log_grid(80, 20))
+    assert "mean regret at t=80 over 1 runs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("horizon", ["100", "1000"])
+def test_cli_horizon_override_must_fit_listed_grid(tmp_path, capsys, horizon):
+    cfg_path = write_cli_config(tmp_path, grid=[50, 100, 150])
+    assert cli_main(["run", str(cfg_path), "--horizon", horizon]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--workers", "--seed"])
+def test_cli_override_errors_name_the_field(tmp_path, capsys, flag):
+    cfg_path = write_cli_config(tmp_path)
+    assert cli_main(["run", str(cfg_path), flag, "-1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.none() | st.integers(-2, 3),
+    horizon=st.none() | st.integers(-3, 220),
+    seed=st.none() | st.integers(-3, 2**70),
+    workers=st.none() | st.integers(-2, 1),
+    traces=st.booleans(),
+    grid=st.sampled_from([None, [50, 100, 200], [200], {"points": 12}, {"points": 0}]),
+)
+def test_cli_overrides_exit_cleanly(runs, horizon, seed, workers, traces, grid):
+    # whatever the overrides, run ends with 0 or a field error (1), never a
+    # traceback; worker counts stay at 1 so no process pool is started
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_cli_config(
+            Path(tmp), horizon=200, grid=grid, policies=["imed-ub", "osub"]
+        )
+        argv = ["run", str(cfg_path), "--out", str(Path(tmp) / "out")]
+        for flag, value in (("--runs", runs), ("--horizon", horizon),
+                            ("--seed", seed), ("--workers", workers)):
+            if value is not None:
+                argv += [flag, str(value)]
+        if traces:
+            argv.append("--traces")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+        else:
+            last = horizon if horizon is not None else 200
+            if isinstance(grid, list) and horizon is None:
+                last = grid[-1]
+            assert f"mean regret at t={last} " in out.getvalue()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
