@@ -291,7 +291,8 @@ def load_config(path, overrides=None):
     if overrides and isinstance(data, dict):
         horizon = overrides.get("horizon", data.get("horizon"))
         grid = data.get("grid")
-        if isinstance(grid, list) and grid and horizon != data.get("horizon") and grid[-1] != horizon:
+        moved = horizon != data.get("horizon")
+        if moved and isinstance(grid, list) and grid and grid[-1] != horizon:
             raise ConfigError(
                 f"grid: the listed grid ends at {grid[-1]!r}, not at the overriding "
                 f'horizon {horizon!r}; list times up to it or use {{"points": N}}'

@@ -22,9 +22,9 @@ FAMILIES = [Bernoulli(), Gaussian(0.25), Exponential()]
 
 
 def bisect_kl_upper_inverse(family, mu_hat, budget):
-    """Reference KL upper inverse: plain bisection on kl(mu_hat, q) <= budget.
+    """Reference KL upper inverse for the Newton solver in expfam: plain
+    bisection on kl(mu_hat, q) <= budget.
 
-    The package's first solver, kept as the oracle for the Newton solver.
     A finite domain top caps the bracket; otherwise it grows by doubling.
     Returns the lower end of a bracket at most 1e-10 wide.
     """
