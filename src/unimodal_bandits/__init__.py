@@ -6,14 +6,12 @@ from .env import (
     BanditConfig,
     BanditEnv,
     PullStats,
-    StepRecord,
-    empirical_best_set,
     leader,
 )
 from .errors import ConfigError, ParameterError, StateError
 from .expfam import Bernoulli, Exponential, Family, Gaussian, make_family
 from .graph import UnimodalGraph, UnimodalityReport, line_graph, validate_unimodal
-from .invariants import ViolationReport, check_step, check_trace
+from .invariants import ViolationReport, check_step
 from .policies import (
     Imed,
     ImedUB,
@@ -21,7 +19,6 @@ from .policies import (
     Policy,
     PolicySpec,
     Uts,
-    imed_index,
     make_policy,
     transport_kl,
 )
@@ -30,7 +27,6 @@ from .runner import (
     RegretCurves,
     RunResult,
     check_trace_dir,
-    derive_run_seed,
     emit_outputs,
     load_config,
     log_grid,
@@ -70,7 +66,6 @@ __all__ = [
     "RegretCurves",
     "RunResult",
     "StateError",
-    "StepRecord",
     "TheoryReport",
     "UnimodalGraph",
     "UnimodalityReport",
@@ -78,13 +73,9 @@ __all__ = [
     "ViolationReport",
     "alpha_nu",
     "check_step",
-    "check_trace",
     "check_trace_dir",
-    "derive_run_seed",
     "emit_outputs",
-    "empirical_best_set",
     "epsilon_nu",
-    "imed_index",
     "leader",
     "line_graph",
     "load_config",

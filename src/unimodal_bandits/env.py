@@ -1,7 +1,5 @@
 """Simulation environment: true configuration, reward serving, pull statistics."""
 
-from dataclasses import dataclass
-
 from .errors import ConfigError, ParameterError, StateError
 from .graph import validate_unimodal
 
@@ -75,22 +73,6 @@ class PullStats:
         if self.t < self.arm_count or 0 in self.counts:
             raise StateError("every arm must be pulled once before selection")
 
-    def copy(self):
-        dup = PullStats(self.arm_count)
-        dup.counts = list(self.counts)
-        dup.sums = list(self.sums)
-        dup.means = list(self.means)
-        dup.t = self.t
-        return dup
-
-
-def empirical_best_set(stats):
-    """Arms achieving the maximal empirical mean."""
-    stats.require_initialized()
-    means = stats.means
-    best = max(means)
-    return {a for a, m in enumerate(means) if m == best}
-
 
 def leader(stats):
     """Empirically best arm, preferring fewer pulls, then the lowest index."""
@@ -107,26 +89,6 @@ def leader(stats):
             best_m = m
             best_c = counts[a]
     return lead
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One decision instant: who led, who was eligible, and the pick.
-
-    counts/means snapshot the pre-pull statistics of the arms listed in
-    candidates (aligned by position); mu_star is the best empirical mean
-    over all arms at the same instant; indexes holds the per-candidate
-    decision values of the policy that produced the record.
-    """
-
-    t: int
-    chosen: int
-    leader: int
-    mu_star: float
-    candidates: tuple
-    indexes: tuple
-    counts: tuple
-    means: tuple
 
 
 class _ArmStream:
@@ -151,7 +113,7 @@ class _ArmStream:
 
 
 class BanditEnv:
-    """Serves rewards for one run and tracks statistics and regret.
+    """Serves rewards for one run and tracks statistics and pseudo-regret.
 
     Each arm owns one of the supplied random generators, so the reward
     sequence an arm produces depends only on its own stream, not on the
@@ -165,28 +127,18 @@ class BanditEnv:
             )
         self.config = config
         self.stats = PullStats(config.arm_count)
-        self.reward_regret = 0.0
         self._streams = [
             _ArmStream(config.family, mu, rng) for mu, rng in zip(config.means, rngs)
         ]
-        self._mu_star = config.optimal_mean
         self._gaps = config.gaps
 
     def pull(self, arm):
-        """Draw one reward from arm, updating statistics and regret."""
+        """Draw one reward from arm and record it in the statistics."""
         if not 0 <= arm < self.stats.arm_count:
             raise ParameterError(f"arm {arm} outside [0, {self.stats.arm_count})")
         x = self._streams[arm].next()
         self.stats.record(arm, x)
-        self.reward_regret += self._mu_star - x
         return x
-
-    def initialize(self):
-        """Pull each arm once, in arm-index order."""
-        if self.stats.t != 0:
-            raise StateError("initialize() must run on a fresh environment")
-        for a in range(self.stats.arm_count):
-            self.pull(a)
 
     def pseudo_regret(self):
         """sum_a gap_a * N_a(t); evaluated from counts, so the pull-count

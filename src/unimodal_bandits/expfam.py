@@ -52,16 +52,8 @@ class Family:
         """
         raise NotImplementedError
 
-    def sample(self, mu, rng):
-        """One reward draw from the member with mean mu."""
-        raise NotImplementedError
-
     def sample_many(self, mu, rng, size):
-        """Vectorized draws; same law as sample()."""
-        raise NotImplementedError
-
-    def variance(self, mu):
-        """Variance of the member with mean mu."""
+        """size i.i.d. reward draws from the member with mean mu."""
         raise NotImplementedError
 
     def variance_sup(self, lo, hi):
@@ -178,17 +170,9 @@ class Bernoulli(Family):
             div += (1.0 - mu) * math.log1p((mu_prime - mu) / (1.0 - mu_prime))
         return div if div > 0.0 else 0.0
 
-    def sample(self, mu, rng):
-        self.require_mean(mu)
-        return 1.0 if rng.random() < mu else 0.0
-
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return (rng.random(size) < mu).astype(np.float64)
-
-    def variance(self, mu):
-        self.require_mean_closure(mu)
-        return mu * (1.0 - mu)
 
     def variance_sup(self, lo, hi):
         self._check_interval(lo, hi)
@@ -231,17 +215,9 @@ class Gaussian(Family):
         d = mu_prime - mu
         return d * d / (2.0 * self.sigma2)
 
-    def sample(self, mu, rng):
-        self.require_mean(mu)
-        return rng.normal(mu, self.sigma)
-
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return rng.normal(mu, self.sigma, size)
-
-    def variance(self, mu):
-        self.require_mean_closure(mu)
-        return self.sigma2
 
     def variance_sup(self, lo, hi):
         self._check_interval(lo, hi)
@@ -282,17 +258,9 @@ class Exponential(Family):
         div = math.log1p(d / mu) - d / mu_prime
         return div if div > 0.0 else 0.0
 
-    def sample(self, mu, rng):
-        self.require_mean(mu)
-        return rng.exponential(mu)
-
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return rng.exponential(mu, size)
-
-    def variance(self, mu):
-        self.require_mean_closure(mu)
-        return mu * mu
 
     def variance_sup(self, lo, hi):
         self._check_interval(lo, hi)

@@ -11,16 +11,17 @@ leader and a+ the chosen arm:
   MEMBERSHIP   a+ in {L} | neighbors(L)
   INDEX-FLOOR  the leader's index equals log N_L exactly
 
-These are deterministic facts about the algorithm, not probabilistic
+Each check reads the pull statistics themselves, not a policy's report of
+them. These are deterministic facts about the algorithm, not probabilistic
 statements: any violation signals an implementation bug or a doctored
-record. Real-valued comparisons use an absolute tolerance of 1e-9 to
+history. Real-valued comparisons use an absolute tolerance of 1e-9 to
 absorb floating-point noise in index recomputation.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .env import leader
 from .policies import transport_kl
 
 TOLERANCE = 1e-9
@@ -43,61 +44,45 @@ class ViolationReport:
         )
 
 
-def check_step(rec, graph, family, run_id=""):
-    """All violations in one StepRecord; empty list when every check holds.
+def check_step(stats, chosen, graph, family, run_id=""):
+    """All violations of choosing arm `chosen` on the pre-pull PullStats
+    `stats`; empty list when every check holds.
 
-    The record must carry pre-pull statistics for the leader, the chosen
-    arm and every neighbor of the leader (records from the structured rule
-    and from the unstructured all-arms rule both do).
+    The leader is env.leader's (an empirically best arm with the fewest
+    pulls) and mu* the maximal empirical mean, so INDEX-FLOOR holds exactly
+    when the leader is an empirically best arm.
     """
-    pos = {a: i for i, a in enumerate(rec.candidates)}
-    if rec.leader not in pos or rec.chosen not in pos:
-        raise ParameterError("record lacks statistics for its leader or chosen arm")
-    neigh = graph.neighbors(rec.leader)
-    missing = [a for a in neigh if a not in pos]
-    if missing:
-        raise ParameterError(f"record lacks statistics for neighbor arms {missing}")
-
+    lead = leader(stats)
+    counts = stats.counts
+    means = stats.means
+    t = stats.t
+    mu_star = max(means)
+    neigh = graph.neighbors(lead)
     out = []
-    mu_star = rec.mu_star
-    n_chosen = rec.counts[pos[rec.chosen]]
-    n_leader = rec.counts[pos[rec.leader]]
+    n_chosen = counts[chosen]
+    n_leader = counts[lead]
     log_n_chosen = math.log(n_chosen)
 
-    if rec.chosen != rec.leader and rec.chosen not in neigh:
-        out.append(
-            ViolationReport(run_id, rec.t, "MEMBERSHIP", float(rec.chosen), float(rec.leader))
-        )
+    if chosen != lead and chosen not in neigh:
+        out.append(ViolationReport(run_id, t, "MEMBERSHIP", float(chosen), float(lead)))
 
     for a in neigh:
-        i = pos[a]
-        rhs = rec.counts[i] * transport_kl(family, rec.means[i], mu_star) + math.log(
-            rec.counts[i]
-        )
+        rhs = counts[a] * transport_kl(family, means[a], mu_star) + math.log(counts[a])
         if log_n_chosen > rhs + TOLERANCE:
-            out.append(ViolationReport(run_id, rec.t, "LB1", log_n_chosen, rhs))
+            out.append(ViolationReport(run_id, t, "LB1", log_n_chosen, rhs))
             break
 
     if n_chosen > n_leader:
-        out.append(ViolationReport(run_id, rec.t, "LB2", float(n_chosen), float(n_leader)))
+        out.append(ViolationReport(run_id, t, "LB2", float(n_chosen), float(n_leader)))
 
-    ub_lhs = n_chosen * transport_kl(family, rec.means[pos[rec.chosen]], mu_star)
-    ub_rhs = math.log(rec.t)
+    ub_lhs = n_chosen * transport_kl(family, means[chosen], mu_star)
+    ub_rhs = math.log(t)
     if ub_lhs > ub_rhs + TOLERANCE:
-        out.append(ViolationReport(run_id, rec.t, "UB", ub_lhs, ub_rhs))
+        out.append(ViolationReport(run_id, t, "UB", ub_lhs, ub_rhs))
 
-    i = pos[rec.leader]
     floor = math.log(n_leader)
-    lead_index = n_leader * transport_kl(family, rec.means[i], mu_star) + floor
+    lead_index = n_leader * transport_kl(family, means[lead], mu_star) + floor
     if abs(lead_index - floor) > TOLERANCE:
-        out.append(ViolationReport(run_id, rec.t, "INDEX-FLOOR", lead_index, floor))
+        out.append(ViolationReport(run_id, t, "INDEX-FLOOR", lead_index, floor))
 
-    return out
-
-
-def check_trace(records, graph, family, run_id=""):
-    """Concatenated check_step results over an iterable of records."""
-    out = []
-    for rec in records:
-        out.extend(check_step(rec, graph, family, run_id))
     return out

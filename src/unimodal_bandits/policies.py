@@ -1,17 +1,15 @@
 """Decision rules: IMED-UB and the IMED, OSUB, UTS baselines.
 
-All policies read shared PullStats and return the arm to pull next.
-select() is the fast path; decide() returns a full StepRecord (leader,
-eligible set, per-candidate values) for tracing and invariant checking.
-Exactly one of the two should be called per time step, since OSUB keeps
-leader-round counters that advance on every call.
+All policies read shared PullStats and return the arm to pull next from
+select(). Call it once per time step: OSUB keeps leader-round counters and
+UTS draws from its own stream on every call.
 """
 
 import math
 from dataclasses import dataclass
 
-from .env import StepRecord, leader
-from .errors import ParameterError, StateError
+from .env import leader
+from .errors import ParameterError
 
 
 def transport_kl(family, mu_hat, target):
@@ -21,41 +19,25 @@ def transport_kl(family, mu_hat, target):
     return family.kl(mu_hat, target)
 
 
-def imed_index(stats, family, arm):
-    """pulls * KL(empirical mean -> best empirical mean) + log(pulls).
-
-    The divergence term vanishes for empirically best arms, leaving the
-    pure exploration part log(pulls).
-    """
-    if not 0 <= arm < stats.arm_count:
-        raise ParameterError(f"arm {arm} outside [0, {stats.arm_count})")
-    n = stats.counts[arm]
-    if n < 1:
-        raise StateError(f"arm {arm} has not been pulled yet")
-    mu_star = max(stats.means)
-    return n * transport_kl(family, stats.means[arm], mu_star) + math.log(n)
-
-
 def _index_argmin(stats, family, cands, mu_star):
-    """Minimum-index arm among cands (lowest index on ties) plus all values."""
+    """Arm of minimal index n KL(mean, mu_star) + log n among cands, lowest
+    index on ties."""
     counts = stats.counts
     means = stats.means
     kl = family.kl
     log = math.log
     best = cands[0]
     best_val = math.inf
-    vals = []
     for a in cands:
         n = counts[a]
         x = means[a]
         v = log(n)
         if x < mu_star:
             v += n * kl(x, mu_star)
-        vals.append(v)
         if v < best_val:
             best_val = v
             best = a
-    return best, vals
+    return best
 
 
 def _argmax_lowest(stats):
@@ -76,9 +58,7 @@ class Policy:
     name = ""
 
     def select(self, stats):
-        raise NotImplementedError
-
-    def decide(self, stats):
+        """The arm to pull next, given the pre-pull statistics."""
         raise NotImplementedError
 
 
@@ -94,31 +74,12 @@ class ImedUB(Policy):
 
     def __init__(self, family, graph):
         self.family = family
-        self.graph = graph
         self._cands = tuple(graph.candidates(a) for a in range(graph.arm_count))
 
     def select(self, stats):
         stats.require_initialized()
         lead = leader(stats)
-        arm, _ = _index_argmin(stats, self.family, self._cands[lead], stats.means[lead])
-        return arm
-
-    def decide(self, stats):
-        stats.require_initialized()
-        lead = leader(stats)
-        cands = self._cands[lead]
-        mu_star = stats.means[lead]
-        arm, vals = _index_argmin(stats, self.family, cands, mu_star)
-        return StepRecord(
-            t=stats.t,
-            chosen=arm,
-            leader=lead,
-            mu_star=mu_star,
-            candidates=cands,
-            indexes=tuple(vals),
-            counts=tuple(stats.counts[a] for a in cands),
-            means=tuple(stats.means[a] for a in cands),
-        )
+        return _index_argmin(stats, self.family, self._cands[lead], stats.means[lead])
 
 
 class Imed(Policy):
@@ -132,27 +93,7 @@ class Imed(Policy):
 
     def select(self, stats):
         stats.require_initialized()
-        mu_star = max(stats.means)
-        arm, _ = _index_argmin(stats, self.family, self._cands, mu_star)
-        return arm
-
-    def decide(self, stats):
-        stats.require_initialized()
-        # leader recorded the same way as the structured rule computes it,
-        # so checkers can evaluate neighborhood membership on these traces
-        lead = leader(stats)
-        mu_star = stats.means[lead]
-        arm, vals = _index_argmin(stats, self.family, self._cands, mu_star)
-        return StepRecord(
-            t=stats.t,
-            chosen=arm,
-            leader=lead,
-            mu_star=mu_star,
-            candidates=self._cands,
-            indexes=tuple(vals),
-            counts=tuple(stats.counts),
-            means=tuple(stats.means),
-        )
+        return _index_argmin(stats, self.family, self._cands, max(stats.means))
 
 
 class Osub(Policy):
@@ -176,7 +117,6 @@ class Osub(Policy):
         if not math.isfinite(c):
             raise ParameterError(f"c must be finite, got {c!r}")
         self.family = family
-        self.graph = graph
         self.gamma = int(gamma)
         self.c = float(c)
         self._cands = tuple(graph.candidates(a) for a in range(graph.arm_count))
@@ -188,44 +128,26 @@ class Osub(Policy):
             b += self.c * math.log(math.log(max(rounds, math.e)))
         return b
 
-    def _decide_full(self, stats):
+    def select(self, stats):
         stats.require_initialized()
         lead = _argmax_lowest(stats)
         self.leader_rounds[lead] += 1
         rounds = self.leader_rounds[lead]
-        cands = self._cands[lead]
         if (rounds - 1) % (self.gamma + 1) == 0:
-            return lead, lead, cands, None
+            return lead
         bonus = self._bonus(rounds)
         inverse = self.family.kl_upper_inverse
         counts = stats.counts
         means = stats.means
+        cands = self._cands[lead]
         best = cands[0]
         best_val = -math.inf
-        vals = []
         for a in cands:
             v = inverse(means[a], bonus / counts[a])
-            vals.append(v)
             if v > best_val:
                 best_val = v
                 best = a
-        return best, lead, cands, vals
-
-    def select(self, stats):
-        return self._decide_full(stats)[0]
-
-    def decide(self, stats):
-        arm, lead, cands, vals = self._decide_full(stats)
-        return StepRecord(
-            t=stats.t,
-            chosen=arm,
-            leader=lead,
-            mu_star=max(stats.means),
-            candidates=cands,
-            indexes=() if vals is None else tuple(vals),
-            counts=tuple(stats.counts[a] for a in cands),
-            means=tuple(stats.means[a] for a in cands),
-        )
+        return best
 
 
 class Uts(Policy):
@@ -242,46 +164,27 @@ class Uts(Policy):
         if rng is None:
             raise ParameterError("uts requires a random generator")
         self.family = family
-        self.graph = graph
         self.rng = rng
         self._cands = tuple(graph.candidates(a) for a in range(graph.arm_count))
 
-    def _decide_full(self, stats):
+    def select(self, stats):
         stats.require_initialized()
         lead = _argmax_lowest(stats)
-        cands = self._cands[lead]
         if self.rng.random() < 0.5:
-            return lead, lead, cands, None
+            return lead
         draw = self.family.posterior_mean_sample
         counts = stats.counts
         sums = stats.sums
         rng = self.rng
+        cands = self._cands[lead]
         best = cands[0]
         best_val = -math.inf
-        vals = []
         for a in cands:
             v = draw(counts[a], sums[a], rng)
-            vals.append(v)
             if v > best_val:
                 best_val = v
                 best = a
-        return best, lead, cands, vals
-
-    def select(self, stats):
-        return self._decide_full(stats)[0]
-
-    def decide(self, stats):
-        arm, lead, cands, vals = self._decide_full(stats)
-        return StepRecord(
-            t=stats.t,
-            chosen=arm,
-            leader=lead,
-            mu_star=max(stats.means),
-            candidates=cands,
-            indexes=() if vals is None else tuple(vals),
-            counts=tuple(stats.counts[a] for a in cands),
-            means=tuple(stats.means[a] for a in cands),
-        )
+        return best
 
 
 @dataclass(frozen=True)

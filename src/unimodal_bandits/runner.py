@@ -9,16 +9,16 @@ the grid or in which order.
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from hashlib import sha256
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .env import BanditConfig, BanditEnv, StepRecord
+from .env import BanditConfig, BanditEnv, PullStats
 from .errors import ConfigError, ParameterError
 from .expfam import make_family
 from .graph import UnimodalGraph, line_graph
@@ -311,26 +311,17 @@ def seed_sequence(master_seed, run_index, policy_id):
     return np.random.SeedSequence(master_seed, spawn_key=(policy_id, run_index))
 
 
-def derive_run_seed(master_seed, run_index, policy_id):
-    """Collision-resistant 128-bit stream seed for a (policy, run) pair."""
-    state = seed_sequence(master_seed, run_index, policy_id).generate_state(4, np.uint32)
-    return int.from_bytes(state.tobytes(), "little")
-
-
 # ---------------------------------------------------------------------------
 # single-run simulation
 
 @dataclass
 class RunResult:
     regret: np.ndarray
-    reward_regret: float
     final_counts: tuple
     violation_count: int = 0
     violations: tuple = ()
-    actions: tuple | None = None
-    records: list | None = None
+    actions: list | None = None
     rewards: list | None = None
-    init_rewards: tuple | None = None
 
 
 def simulate_policy_run(
@@ -341,16 +332,17 @@ def simulate_policy_run(
     seed_seq,
     horizon,
     grid=(),
-    capture=False,
+    record=False,
     check=False,
-    record_actions=False,
     run_id="",
 ):
     """One full run: forced initialization then the policy loop to horizon.
 
     Every arm gets its own child stream of seed_seq (the policy gets one
     more for its own randomness), so the rewards an arm yields do not
-    depend on the interleaving the policy produces.
+    depend on the interleaving the policy produces. record keeps every
+    pull's arm and reward (the trace); check runs check_step on the
+    statistics before each pull the policy chooses.
     """
     n = len(means)
     if horizon < n:
@@ -367,65 +359,48 @@ def simulate_policy_run(
     glen = len(grid)
     gi = 0
     samples = np.zeros(glen)
-    trace_mode = capture or check
-    records = [] if capture else None
-    rewards = [] if capture else None
-    actions = [] if record_actions else None
+    actions = [] if record else None
+    rewards = [] if record else None
     violations = []
     violation_count = 0
 
-    init_rewards = []
     for a in range(n):
         x = env.pull(a)
-        init_rewards.append(x)
-        if record_actions:
+        if record:
             actions.append(a)
+            rewards.append(x)
         if gi < glen and stats.t == grid[gi]:
             samples[gi] = env.pseudo_regret()
             gi += 1
 
     for _ in range(horizon - n):
-        if trace_mode:
-            rec = policy.decide(stats)
-            arm = rec.chosen
-            if check:
-                bad = check_step(rec, graph, family, run_id)
-                if bad:
-                    violation_count += len(bad)
-                    if len(violations) < _VIOLATION_SAMPLE_CAP:
-                        violations.extend(bad[: _VIOLATION_SAMPLE_CAP - len(violations)])
-            if capture:
-                records.append(rec)
-        else:
-            arm = policy.select(stats)
+        arm = policy.select(stats)
+        if check:
+            bad = check_step(stats, arm, graph, family, run_id)
+            if bad:
+                violation_count += len(bad)
+                if len(violations) < _VIOLATION_SAMPLE_CAP:
+                    violations.extend(bad[: _VIOLATION_SAMPLE_CAP - len(violations)])
         x = env.pull(arm)
-        if capture:
-            rewards.append(x)
-        if record_actions:
+        if record:
             actions.append(arm)
+            rewards.append(x)
         if gi < glen and stats.t == grid[gi]:
             samples[gi] = env.pseudo_regret()
             gi += 1
 
     return RunResult(
         regret=samples,
-        reward_regret=env.reward_regret,
         final_counts=tuple(stats.counts),
         violation_count=violation_count,
         violations=tuple(violations),
-        actions=None if actions is None else tuple(actions),
-        records=records,
+        actions=actions,
         rewards=rewards,
-        init_rewards=tuple(init_rewards) if capture else None,
     )
 
 
 # ---------------------------------------------------------------------------
 # experiment grid
-
-def _trace_path(out_dir, label, run_index):
-    return Path(out_dir) / "traces" / f"{label}__run{run_index:05d}.jsonl"
-
 
 def _run_pair(cfg, policy_idx, run_idx, check):
     family = cfg.family()
@@ -441,7 +416,7 @@ def _run_pair(cfg, policy_idx, run_idx, check):
         seed_sequence(cfg.seed, run_idx, policy_idx),
         cfg.horizon,
         cfg.grid,
-        capture=cfg.traces,
+        record=cfg.traces,
         # the per-step inequalities are guarantees of the structured
         # minimum-index rule only; baselines do not promise them
         check=check and spec.name == "imed-ub",
@@ -449,14 +424,9 @@ def _run_pair(cfg, policy_idx, run_idx, check):
     )
     if cfg.traces:
         write_trace(
-            _trace_path(cfg.out_dir, label, run_idx),
-            {
-                "policy": label,
-                "rule": spec.name,
-                "run": run_idx,
-                "init_rewards": list(res.init_rewards),
-            },
-            res.records,
+            Path(cfg.out_dir) / "traces" / f"{label}__run{run_idx:05d}.jsonl",
+            {"policy": label, "rule": spec.name, "run": run_idx},
+            res.actions,
             res.rewards,
         )
     return (
@@ -464,7 +434,6 @@ def _run_pair(cfg, policy_idx, run_idx, check):
         run_idx,
         res.regret,
         res.final_counts,
-        res.reward_regret,
         res.violation_count,
         res.violations,
     )
@@ -507,30 +476,21 @@ def run_experiment(cfg, workers=None, check_invariants=False):
     if cfg.traces:
         (Path(cfg.out_dir) / "traces").mkdir(parents=True, exist_ok=True)
 
-    jobs = [(p, r) for p in range(n_pol) for r in range(cfg.runs)]
-    if workers == 1:
-        results = (_run_pair(cfg, p, r, check_invariants) for p, r in jobs)
-        for item in results:
-            p, r, reg, cnt, _, vc, vs = item
+    ps = [p for p in range(n_pol) for _ in range(cfg.runs)]
+    rs = [r for _ in range(n_pol) for r in range(cfg.runs)]
+    args = (_run_pair, repeat(cfg), ps, rs, repeat(check_invariants))
+    with ExitStack() as stack:
+        if workers == 1:
+            results = map(*args)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(*args, chunksize=max(1, len(ps) // (8 * workers)))
+        for p, r, reg, cnt, vc, vs in results:
             regret[p, r] = reg
             counts[p, r] = cnt
             violation_count += vc
             if vs and len(violation_sample) < _VIOLATION_SAMPLE_CAP:
                 violation_sample.extend(vs[: _VIOLATION_SAMPLE_CAP - len(violation_sample)])
-    else:
-        ps = [p for p, _ in jobs]
-        rs = [r for _, r in jobs]
-        chunk = max(1, len(jobs) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for item in pool.map(
-                _run_pair, repeat(cfg), ps, rs, repeat(check_invariants), chunksize=chunk
-            ):
-                p, r, reg, cnt, _, vc, vs = item
-                regret[p, r] = reg
-                counts[p, r] = cnt
-                violation_count += vc
-                if vs and len(violation_sample) < _VIOLATION_SAMPLE_CAP:
-                    violation_sample.extend(vs[: _VIOLATION_SAMPLE_CAP - len(violation_sample)])
 
     labels = cfg.labels()
     mean, std, q10, q90, pulls = {}, {}, {}, {}, {}
@@ -646,60 +606,77 @@ def write_config(cfg, out_dir):
 # ---------------------------------------------------------------------------
 # trace files
 
-def write_trace(path, meta, records, rewards):
+def write_trace(path, meta, actions, rewards):
+    """Write one run's trace: a JSON header line (meta), then one
+    [arm, reward] line per pull, initialization included.
+
+    Rewards are written with repr, so reading them back gives the same
+    floats and a replay accumulates bit-identical sums and means.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta) + "\n")
-        for rec, reward in zip(records, rewards):
-            row = {
-                "t": rec.t,
-                "chosen": rec.chosen,
-                "leader": rec.leader,
-                "mu_star": rec.mu_star,
-                "candidates": list(rec.candidates),
-                "indexes": list(rec.indexes),
-                "counts": list(rec.counts),
-                "means": list(rec.means),
-                "reward": reward,
-            }
-            fh.write(json.dumps(row) + "\n")
+        fh.writelines(f"[{arm},{reward!r}]\n" for arm, reward in zip(actions, rewards))
 
 
-def read_trace(path):
-    """Load one trace file back into (meta, [(StepRecord, reward), ...])."""
-    steps = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise ParameterError(f"{path}: empty trace file")
-        meta = json.loads(first)
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            rec = StepRecord(
-                t=row["t"],
-                chosen=row["chosen"],
-                leader=row["leader"],
-                mu_star=row["mu_star"],
-                candidates=tuple(row["candidates"]),
-                indexes=tuple(row["indexes"]),
-                counts=tuple(row["counts"]),
-                means=tuple(row["means"]),
-            )
-            steps.append((rec, row["reward"]))
-    return meta, steps
+def read_trace(path, arm_count):
+    """Load one trace file of an arm_count-armed run: (header, pulls), with
+    pulls every (arm, reward) in pull order.
+
+    A trace is outside input: the header must be a JSON object, every row
+    [arm, reward] with an integer arm in [0, arm_count) and a finite real
+    reward, and the first arm_count pulls the forced initialization
+    0, 1, ..., arm_count - 1. Anything else is a ConfigError naming the
+    file and line.
+    """
+    pulls = []
+    # undecodable bytes become U+FFFD, which no valid line contains
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        try:
+            meta = json.loads(fh.readline())
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path}:1: header is not a JSON object")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                arm, reward = json.loads(line)
+                ok = (
+                    type(arm) is int
+                    and 0 <= arm < arm_count
+                    and type(reward) in (float, int)
+                    and math.isfinite(reward)
+                )
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected [arm, reward] with an integer arm "
+                    f"in [0, {arm_count}) and a finite reward, got {line.strip()[:60]!r}"
+                )
+            if len(pulls) < arm_count and arm != len(pulls):
+                raise ConfigError(
+                    f"{path}:{lineno}: pull {len(pulls)} must be the initialization "
+                    f"pull of arm {len(pulls)}, got arm {arm}"
+                )
+            pulls.append((arm, float(reward)))
+    if len(pulls) < arm_count:
+        n = len(pulls)
+        raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
+    return meta, pulls
 
 
 def check_trace_dir(path):
     """Run the invariant checker over the structured-rule traces below path.
 
     path must hold a config.json (written by the run command) plus trace
-    files, either directly or in a traces/ subdirectory. Traces written by
-    other decision rules are skipped: the per-step inequalities are
+    files, either directly or in a traces/ subdirectory. Each trace is
+    replayed from its first pull through a fresh PullStats, and check_step
+    audits every pull after the initialization. Traces of other decision
+    rules are read but not checked: the per-step inequalities are
     guarantees of the structured minimum-index rule only. Returns the
-    violation list and the number of records checked.
+    violation list and the number of pulls checked.
     """
     root = Path(path)
     config_path = root / "config.json"
@@ -710,6 +687,7 @@ def check_trace_dir(path):
     cfg = load_config(config_path)
     family = cfg.family()
     graph = cfg.graph()
+    k = graph.arm_count
 
     trace_dir = root / "traces" if (root / "traces").is_dir() else root
     files = sorted(trace_dir.glob("*.jsonl"))
@@ -720,13 +698,17 @@ def check_trace_dir(path):
     checked = 0
     checkable = 0
     for f in files:
-        meta, steps = read_trace(f)
+        meta, pulls = read_trace(f, k)
         if meta.get("rule", meta.get("policy")) != "imed-ub":
             continue
         checkable += 1
-        for rec, _ in steps:
-            violations.extend(check_step(rec, graph, family, run_id=f.stem))
-            checked += 1
+        stats = PullStats(k)
+        for arm, reward in pulls[:k]:
+            stats.record(arm, reward)
+        for arm, reward in pulls[k:]:
+            violations.extend(check_step(stats, arm, graph, family, run_id=f.stem))
+            stats.record(arm, reward)
+        checked += len(pulls) - k
     if not checkable:
         raise ConfigError(
             f"{trace_dir}: no imed-ub traces to check ({len(files)} files skipped)"

@@ -143,10 +143,10 @@ def test_criterion_2_imed_imedub_identical_on_two_arms():
         for run in range(50):
             seeded = lambda: seed_sequence(MASTER_SEED, run, 0)
             a = simulate_policy_run(
-                fam, means, graph, PolicySpec("imed-ub"), seeded(), 5000, record_actions=True
+                fam, means, graph, PolicySpec("imed-ub"), seeded(), 5000, record=True
             )
             b = simulate_policy_run(
-                fam, means, graph, PolicySpec("imed"), seeded(), 5000, record_actions=True
+                fam, means, graph, PolicySpec("imed"), seeded(), 5000, record=True
             )
             assert a.actions == b.actions
 

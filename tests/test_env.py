@@ -1,5 +1,5 @@
-"""Environment tests: config validation, pull statistics, best-set and
-leader selection, regret accounting, determinism."""
+"""Environment tests: config validation, pull statistics, leader
+selection, regret accounting, determinism."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,13 @@ from unimodal_bandits import (
     ConfigError,
     Gaussian,
     ParameterError,
+    PolicySpec,
     PullStats,
     StateError,
-    empirical_best_set,
     leader,
     line_graph,
     seed_sequence,
+    simulate_policy_run,
 )
 
 from conftest import HILL_MEANS, make_stats
@@ -80,14 +81,9 @@ def test_stats_mean_zero_when_unpulled():
     assert stats.means == [0.0, 0.0]
 
 
-def test_best_set_and_ties():
-    assert empirical_best_set(make_stats([1, 1, 1], [0.1, 0.5, 0.5])) == {1, 2}
-    assert empirical_best_set(make_stats([2, 1, 1], [0.2, 0.7, 0.3])) == {1}
-
-
 def test_best_set_requires_initialization():
     with pytest.raises(StateError):
-        empirical_best_set(make_stats([1, 0, 1], [0.1, 0.0, 0.2]))
+        leader(make_stats([1, 0, 1], [0.1, 0.0, 0.2]))
 
 
 def test_leader_prefers_fewer_pulls_then_lowest_index():
@@ -107,7 +103,6 @@ def test_leader_matches_composed_oracle():
         tied = [a for a in range(n) if means[a] == best]
         oracle = min(tied, key=lambda a: (counts[a], a))
         assert leader(stats) == oracle
-        assert empirical_best_set(stats) == set(tied)
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +126,13 @@ def test_optimal_pull_adds_no_pseudo_regret():
 def test_pseudo_regret_identity_exact():
     env = make_env(seed=3)
     rng = np.random.default_rng(0)
-    env.initialize()
+    for a in range(9):
+        env.pull(a)
     for _ in range(2000):
         env.pull(int(rng.integers(0, 9)))
     counts = env.stats.counts
     gaps = env.config.gaps
     assert env.pseudo_regret() == sum(gaps[a] * counts[a] for a in range(9))
-
-
-def test_reward_regret_tracks_observed_rewards():
-    env = make_env(seed=12)
-    got = []
-    for arm in [0, 1, 2, 3, 4, 4, 4, 2]:
-        got.append(env.pull(arm))
-    assert env.reward_regret == pytest.approx(
-        sum(0.25 - x for x in got), abs=1e-12
-    )
 
 
 def test_env_trace_deterministic_under_same_seed():
@@ -160,11 +146,14 @@ def test_env_trace_deterministic_under_same_seed():
 
 
 def test_initialize_pulls_each_arm_once():
-    env = make_env()
-    env.initialize()
-    assert env.stats.counts == [1] * 9
-    with pytest.raises(StateError):
-        env.initialize()
+    # a run opens with the forced initialization 0, 1, ..., K-1, the order
+    # trace files are checked against
+    res = simulate_policy_run(
+        Bernoulli(), HILL_MEANS, line_graph(9), PolicySpec("imed-ub"),
+        seed_sequence(0, 0, 0), 9, record=True,
+    )
+    assert res.actions == list(range(9))
+    assert res.final_counts == (1,) * 9
 
 
 def test_single_arm_lln_hill_peak():

@@ -1,173 +1,136 @@
-"""Invariant-checker tests: clean runs stay clean, doctored records and
+"""Invariant-checker tests: clean runs stay clean, doctored statistics and
 off-neighborhood decisions are flagged, and checking is pure."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
 from unimodal_bandits import (
     Bernoulli,
-    Exponential,
     Gaussian,
-    ParameterError,
     PolicySpec,
-    StepRecord,
+    PullStats,
     check_step,
-    check_trace,
     line_graph,
     seed_sequence,
     simulate_policy_run,
 )
+from unimodal_bandits import invariants
 
-from conftest import FAMILIES, HILL_MEANS
-
-
-def hill_means_for(family):
-    # same shape for every family; exponential just needs positive values
-    return HILL_MEANS
-
-
-def capture_run(family, policy="imed-ub", horizon=1500, seed=0, means=HILL_MEANS):
-    graph = line_graph(len(means))
-    res = simulate_policy_run(
-        family,
-        means,
-        graph,
-        PolicySpec(policy),
-        seed_sequence(seed, 0, 0),
-        horizon,
-        capture=True,
-    )
-    return graph, res.records
-
-
-def clean_record():
-    """A by-hand valid step of the structured rule on a 5-arm line."""
-    return StepRecord(
-        t=40,
-        chosen=1,
-        leader=2,
-        mu_star=0.5,
-        candidates=(1, 2, 3),
-        indexes=(),
-        counts=(6, 20, 9),
-        means=(0.4, 0.5, 0.35),
-    )
-
+from conftest import FAMILIES, HILL_MEANS, make_stats
 
 G5 = line_graph(5)
 BERN = Bernoulli()
 
 
+def clean_stats(counts=(3, 6, 20, 9, 2), means=(0.2, 0.4, 0.5, 0.35, 0.1)):
+    """Pre-pull statistics on a 5-arm line with arm 2 leading; choosing
+    arm 1 on them is a valid step of the structured rule."""
+    return make_stats(counts, means)
+
+
+def replay_violations(actions, rewards, graph, family, run_id=""):
+    """check_step over a pull log replayed from a fresh PullStats."""
+    k = graph.arm_count
+    stats = PullStats(k)
+    out = []
+    for i, (arm, reward) in enumerate(zip(actions, rewards)):
+        if i >= k:
+            out.extend(check_step(stats, arm, graph, family, run_id))
+        stats.record(arm, reward)
+    return out
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_reference_runs_produce_no_violations(family):
-    graph, records = capture_run(family)
-    assert check_trace(records, graph, family, run_id="ref") == []
+    res = simulate_policy_run(
+        family, HILL_MEANS, line_graph(9), PolicySpec("imed-ub"),
+        seed_sequence(0, 0, 0), 1500, check=True, run_id="ref",
+    )
+    assert res.violation_count == 0 and res.violations == ()
 
 
 def test_clean_record_passes():
-    assert check_step(clean_record(), G5, BERN) == []
+    assert check_step(clean_stats(), 1, G5, BERN) == []
 
 
 def test_lb2_flags_overpulled_chosen_arm():
-    rec = replace(clean_record(), counts=(30, 20, 9))
-    out = check_step(rec, G5, BERN, run_id="r0")
+    stats = clean_stats(counts=(3, 30, 20, 9, 2))
+    out = check_step(stats, 1, G5, BERN, run_id="r0")
     assert any(v.check == "LB2" for v in out)
     lb2 = next(v for v in out if v.check == "LB2")
-    assert lb2.lhs == 30.0 and lb2.rhs == 20.0 and lb2.run_id == "r0" and lb2.t == 40
+    assert lb2.lhs == 30.0 and lb2.rhs == 20.0 and lb2.run_id == "r0" and lb2.t == 64
 
 
 def test_lb1_flags_chosen_count_above_neighbor_index():
-    # neighbor arm 1 ties the best mean with a single pull, so its index is
-    # log(1) = 0; choosing arm 3 with 9 pulls then breaks the lower bound
-    rec = StepRecord(
-        t=40,
-        chosen=3,
-        leader=2,
-        mu_star=0.5,
-        candidates=(1, 2, 3),
-        indexes=(),
-        counts=(1, 20, 9),
-        means=(0.5, 0.5, 0.45),
-    )
-    out = check_step(rec, G5, BERN)
+    # neighbor arm 1 has a single pull just below the best mean, so its
+    # index is KL(0.45, 0.5) ~ 0.005; choosing arm 3 with 9 pulls then
+    # breaks the lower bound log 9 <= 0.005
+    stats = clean_stats(means=(0.2, 0.45, 0.5, 0.45, 0.1), counts=(3, 1, 20, 9, 2))
+    out = check_step(stats, 3, G5, BERN)
     assert any(v.check == "LB1" for v in out)
 
 
 def test_ub_flags_excessive_transport_cost():
-    rec = replace(clean_record(), counts=(2000, 2000, 9), t=50)
-    out = check_step(rec, G5, BERN)
+    stats = clean_stats(counts=(3, 2000, 2000, 9, 2))
+    out = check_step(stats, 1, G5, BERN)
     assert any(v.check == "UB" for v in out)
 
 
 def test_membership_flags_non_neighbor():
-    rec = StepRecord(
-        t=40,
-        chosen=4,
-        leader=2,
-        mu_star=0.5,
-        candidates=(1, 2, 3, 4),
-        indexes=(),
-        counts=(6, 20, 9, 3),
-        means=(0.4, 0.5, 0.35, 0.1),
-    )
-    out = check_step(rec, G5, BERN)
+    stats = clean_stats(counts=(3, 6, 20, 9, 3))
+    out = check_step(stats, 4, G5, BERN)
     assert [v.check for v in out] == ["MEMBERSHIP"]
 
 
-def test_index_floor_flags_leader_below_best_mean():
-    rec = replace(clean_record(), mu_star=0.7)
-    out = check_step(rec, G5, BERN)
-    assert any(v.check == "INDEX-FLOOR" for v in out)
+def test_index_floor_flags_leader_below_best_mean(monkeypatch):
+    # a leader rule that picks an arm below the best empirical mean gives
+    # that arm an index above log N_L
+    monkeypatch.setattr(invariants, "leader", lambda stats: 3)
+    out = check_step(clean_stats(), 3, G5, BERN)
+    floor = next(v for v in out if v.check == "INDEX-FLOOR")
+    assert floor.rhs == math.log(9) and floor.lhs == 9 * BERN.kl(0.35, 0.5) + math.log(9)
 
 
 def test_unstructured_rule_eventually_leaves_neighborhood():
     # plain IMED explores every arm, so on a 5-arm line some pull must land
-    # outside the leader's neighborhood; the checker must flag exactly that
+    # outside the leader's neighborhood; the in-run check flags it, and
+    # replaying the run's pulls through check_step gives the same reports
     means = (0.1, 0.2, 0.5, 0.35, 0.15)
-    graph, records = capture_run(BERN, policy="imed", seed=13, means=means, horizon=400)
-    out = check_trace(records, graph, BERN)
-    assert any(v.check == "MEMBERSHIP" for v in out)
-
-
-def test_malformed_record_missing_leader_stats():
-    rec = replace(clean_record(), leader=4)
-    with pytest.raises(ParameterError):
-        check_step(rec, G5, BERN)
-
-
-def test_malformed_record_missing_neighbor_stats():
-    rec = StepRecord(
-        t=40,
-        chosen=2,
-        leader=2,
-        mu_star=0.5,
-        candidates=(2,),
-        indexes=(),
-        counts=(20,),
-        means=(0.5,),
+    res = simulate_policy_run(
+        BERN, means, G5, PolicySpec("imed"), seed_sequence(13, 0, 0), 400,
+        record=True, check=True, run_id="imed",
     )
-    with pytest.raises(ParameterError):
-        check_step(rec, G5, BERN)
+    replayed = replay_violations(res.actions, res.rewards, G5, BERN, "imed")
+    assert any(v.check == "MEMBERSHIP" for v in replayed)
+    assert res.violation_count == len(replayed)
+    assert list(res.violations) == replayed[: len(res.violations)]
+    assert len(res.violations) == min(len(replayed), 20)
 
 
 def test_checker_is_pure():
-    rec = replace(clean_record(), counts=(30, 20, 9))
-    a = check_step(rec, G5, BERN, run_id="x")
-    b = check_step(rec, G5, BERN, run_id="x")
+    stats = clean_stats(counts=(3, 30, 20, 9, 2))
+    a = check_step(stats, 1, G5, BERN, run_id="x")
+    b = check_step(stats, 1, G5, BERN, run_id="x")
     assert a == b
+    assert stats.counts == [3, 30, 20, 9, 2] and stats.t == 64
 
 
 def test_tolerance_absorbs_float_noise():
-    # leader mean nudged by an ulp-scale amount must not raise INDEX-FLOOR
-    rec = replace(clean_record(), mu_star=0.5 + 1e-13)
-    assert check_step(rec, G5, BERN) == []
+    # Gaussian(0.5)'s divergence is the squared gap, so a gap of
+    # sqrt(log t) puts UB's two sides level; float-noise excess above that
+    # must not raise UB, a real excess must
+    fam = Gaussian(0.5)
+    counts = (3, 1, 20, 9, 7)
+    for excess, flagged in ((1e-13, []), (1e-8, ["UB"])):
+        gap = math.sqrt(math.log(sum(counts))) + excess
+        stats = make_stats(counts, (0.2, 0.5 - gap, 0.5, 0.35, 0.1))
+        assert [v.check for v in check_step(stats, 1, G5, fam)] == flagged, excess
 
 
 def test_violation_line_format():
-    rec = replace(clean_record(), counts=(30, 20, 9))
-    out = check_step(rec, G5, BERN, run_id="p/run3")
+    stats = clean_stats(counts=(3, 30, 20, 9, 2))
+    out = check_step(stats, 1, G5, BERN, run_id="p/run3")
     v = next(v for v in out if v.check == "LB2")
     line = v.line()
-    assert "run=p/run3" in line and "check=LB2" in line and "t=40" in line
+    assert "run=p/run3" in line and "check=LB2" in line and "t=64" in line

@@ -13,9 +13,10 @@ from unimodal_bandits import (
     Osub,
     ParameterError,
     PolicySpec,
+    PullStats,
     StateError,
     Uts,
-    imed_index,
+    leader,
     line_graph,
     make_policy,
     seed_sequence,
@@ -33,48 +34,58 @@ BERN = Bernoulli()
 # index
 
 
+def index_oracle(stats, family, arm):
+    """The minimum-index value n KL(mean, best mean) + log n, from scratch."""
+    n = stats.counts[arm]
+    return n * transport_kl(family, stats.means[arm], max(stats.means)) + math.log(n)
+
+
 def test_index_is_log_pulls_for_best_arm():
-    stats = make_stats([8, 5], [0.7, 0.2])
-    assert imed_index(stats, BERN, 0) == pytest.approx(math.log(8), abs=1e-12)
+    # the best arm's index is exactly log 8 = 2.079: a neighbor with two
+    # pulls at 0.2 (index 2 KL(0.2, 0.7) + log 2 = 1.76) undercuts it, one
+    # at 0.1 (2.28) does not
+    policy = Imed(BERN, 2)
+    assert policy.select(make_stats([8, 2], [0.7, 0.2])) == 1
+    assert policy.select(make_stats([8, 2], [0.7, 0.1])) == 0
 
 
 def test_index_zero_for_best_arm_with_one_pull():
-    stats = make_stats([1, 5], [0.7, 0.2])
-    assert imed_index(stats, BERN, 0) == 0.0
+    # index 0 is the least any arm can have, so a once-pulled best arm wins
+    # whatever the others' statistics
+    assert Imed(BERN, 2).select(make_stats([1, 5], [0.7, 0.2])) == 0
+    assert Imed(BERN, 3).select(make_stats([40, 1, 1], [0.69, 0.7, 0.0])) == 1
 
 
 def test_index_composes_kl_and_log():
-    stats = make_stats([100, 50], [0.2, 0.25])
-    expected = 100 * BERN.kl(0.2, 0.25) + math.log(100)
-    got = imed_index(stats, BERN, 0)
-    assert got == pytest.approx(expected, abs=1e-12)
-    assert got == pytest.approx(5.3052, rel=1e-3)  # 0.7002 + log(100)
+    # arm 0's index 100 KL(0.2, 0.25) + log 100 = 5.3052 sits between the
+    # best arm's log 150 = 5.01 and log 250 = 5.52
+    stats = make_stats([100, 150], [0.2, 0.25])
+    assert index_oracle(stats, BERN, 0) == pytest.approx(5.3052, rel=1e-3)
+    assert Imed(BERN, 2).select(stats) == 1
+    assert Imed(BERN, 2).select(make_stats([100, 250], [0.2, 0.25])) == 0
 
 
 def test_index_requires_pulled_arm():
-    stats = make_stats([0, 5], [0.0, 0.2])
     with pytest.raises(StateError):
-        imed_index(stats, BERN, 0)
-    with pytest.raises(ParameterError):
-        imed_index(stats, BERN, 7)
+        Imed(BERN, 2).select(make_stats([0, 5], [0.0, 0.2]))
 
 
 def test_index_floor_property():
+    # the structured rule's pick never has an index below the leader's
+    # log N_L, which is the minimum over best arms
     rng = np.random.default_rng(42)
+    g = line_graph(6)
+    policy = ImedUB(BERN, g)
     for _ in range(200):
-        n = int(rng.integers(2, 8))
         stats = make_stats(
-            rng.integers(1, 50, n).tolist(), np.round(rng.uniform(0, 1, n), 2).tolist()
+            rng.integers(1, 50, 6).tolist(), np.round(rng.uniform(0, 1, 6), 2).tolist()
         )
-        best = max(stats.means)
-        for a in range(n):
-            val = imed_index(stats, BERN, a)
-            floor = math.log(stats.counts[a])
-            assert val >= floor - 1e-12
-            if stats.means[a] >= best:
-                assert val == pytest.approx(floor, abs=1e-12)
-            else:
-                assert val > floor
+        lead = leader(stats)
+        chosen = policy.select(stats)
+        assert chosen in g.candidates(lead)
+        assert index_oracle(stats, BERN, chosen) <= math.log(stats.counts[lead]) + 1e-12
+        for a in g.candidates(lead):
+            assert index_oracle(stats, BERN, a) >= math.log(stats.counts[a]) - 1e-12
 
 
 def test_transport_kl_clamps_above_target():
@@ -90,10 +101,8 @@ def test_transport_kl_clamps_above_target():
 def test_imedub_selects_within_leader_neighborhood():
     policy = ImedUB(BERN, line_graph(9))
     stats = make_stats([5] * 9, HILL_MEANS)
-    rec = policy.decide(stats)
-    assert rec.leader == 4
-    assert rec.candidates == (3, 4, 5)
-    assert rec.chosen in {3, 4, 5}
+    assert leader(stats) == 4
+    assert policy.select(stats) in {3, 4, 5}
 
 
 def test_imedub_picks_smallest_index_by_hand():
@@ -106,9 +115,10 @@ def test_imedub_picks_smallest_index_by_hand():
         a: counts[a] * BERN.kl(means[a], 0.25) + math.log(counts[a]) for a in (3, 4, 5)
     }
     assert by_hand[3] < by_hand[4] < by_hand[5]
-    rec = policy.decide(stats)
-    assert rec.chosen == 3
-    assert rec.indexes == tuple(pytest.approx(by_hand[a], abs=1e-12) for a in (3, 4, 5))
+    assert [index_oracle(stats, BERN, a) for a in (3, 4, 5)] == [
+        pytest.approx(by_hand[a], abs=1e-12) for a in (3, 4, 5)
+    ]
+    assert policy.select(stats) == 3
 
 
 def test_imedub_requires_initialization():
@@ -136,7 +146,7 @@ def test_imed_matches_exhaustive_index_oracle():
         stats = make_stats(
             rng.integers(1, 30, 6).tolist(), np.round(rng.uniform(0, 1, 6), 2).tolist()
         )
-        vals = [imed_index(stats, BERN, a) for a in range(6)]
+        vals = [index_oracle(stats, BERN, a) for a in range(6)]
         lowest = min(range(6), key=lambda a: (vals[a], a))
         assert policy.select(stats) == lowest
 
@@ -186,14 +196,25 @@ def test_osub_matches_hand_evaluated_ucb_argmax():
     assert chosen == expected == 1  # fewer pulls inflate the neighbor's bound
 
 
+def assert_pulls_in_argmax_neighborhood(res, graph):
+    """Every post-initialization pull of a recorded run lies in the
+    neighborhood of the arm of maximal empirical mean (lowest index on
+    ties), the leader of OSUB and UTS."""
+    stats = PullStats(graph.arm_count)
+    for i, (arm, reward) in enumerate(zip(res.actions, res.rewards)):
+        if i >= graph.arm_count:
+            lead = max(range(graph.arm_count), key=lambda a: (stats.means[a], -a))
+            assert arm in graph.candidates(lead), i
+        stats.record(arm, reward)
+
+
 def test_osub_membership_over_runs():
     g = line_graph(9)
     spec = PolicySpec("osub")
     res = simulate_policy_run(
-        BERN, HILL_MEANS, g, spec, seed_sequence(5, 0, 0), 800, capture=True
+        BERN, HILL_MEANS, g, spec, seed_sequence(5, 0, 0), 800, record=True
     )
-    for rec in res.records:
-        assert rec.chosen in set(g.candidates(rec.leader))
+    assert_pulls_in_argmax_neighborhood(res, g)
 
 
 def test_osub_forced_rounds_follow_schedule():
@@ -208,7 +229,7 @@ def osub_hill_actions(family, seed):
     """OSUB's actions on the hill for run `seed` of the acceptance study."""
     res = simulate_policy_run(
         family, HILL_MEANS, line_graph(9), PolicySpec("osub"),
-        seed_sequence(20260810, seed, 2), 5000, record_actions=True,
+        seed_sequence(20260810, seed, 2), 5000, record=True,
     )
     return res.actions
 
@@ -242,10 +263,9 @@ def test_uts_sampling_branch_respects_neighborhood():
     g = line_graph(9)
     spec = PolicySpec("uts")
     res = simulate_policy_run(
-        BERN, HILL_MEANS, g, spec, seed_sequence(6, 0, 0), 800, capture=True
+        BERN, HILL_MEANS, g, spec, seed_sequence(6, 0, 0), 800, record=True
     )
-    for rec in res.records:
-        assert rec.chosen in set(g.candidates(rec.leader))
+    assert_pulls_in_argmax_neighborhood(res, g)
 
 
 def test_uts_degenerate_neighbor_posterior_wins_half_the_time():

@@ -21,12 +21,13 @@ from unimodal_bandits import (
     ConfigError,
     PullStats,
     check_trace_dir,
-    derive_run_seed,
     emit_outputs,
+    leader,
     line_graph,
     load_config,
     log_grid,
     lower_bound_constant,
+    make_policy,
     parse_config,
     read_trace,
     run_experiment,
@@ -59,28 +60,33 @@ def hill_config(**overrides):
 # seed derivation
 
 
+def cell_state(master_seed, run_index, policy_id):
+    """128 bits of the stream a (policy, run) cell draws from."""
+    return tuple(seed_sequence(master_seed, run_index, policy_id).generate_state(4))
+
+
 def test_derived_seed_is_deterministic():
-    assert derive_run_seed(12, 3, 1) == derive_run_seed(12, 3, 1)
+    assert cell_state(12, 3, 1) == cell_state(12, 3, 1)
 
 
 def test_derived_seed_varies_with_all_components():
-    base = derive_run_seed(12, 0, 0)
-    assert derive_run_seed(12, 1, 0) != base
-    assert derive_run_seed(12, 0, 1) != base
-    assert derive_run_seed(13, 0, 0) != base
+    base = cell_state(12, 0, 0)
+    assert cell_state(12, 1, 0) != base
+    assert cell_state(12, 0, 1) != base
+    assert cell_state(13, 0, 0) != base
 
 
 def test_derived_seeds_have_no_collisions():
     seen = set()
     for policy in range(4):
         for run in range(2500):
-            seen.add(derive_run_seed(99, run, policy))
+            seen.add(cell_state(99, run, policy))
     assert len(seen) == 4 * 2500
 
 
 def test_seed_components_must_be_nonnegative():
     with pytest.raises(Exception):
-        derive_run_seed(-1, 0, 0)
+        seed_sequence(-1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +293,25 @@ def trace_run(tmp_path, **overrides):
 
 
 def test_trace_replay_reproduces_statistics(tmp_path):
-    cfg, _ = trace_run(tmp_path)
-    files = sorted((tmp_path / "traces").glob("*.jsonl"))
-    assert len(files) == 2
-    meta, steps = read_trace(files[0])
-    stats = PullStats(9)
-    for arm, reward in enumerate(meta["init_rewards"]):
-        stats.record(arm, reward)
-    for rec, reward in steps:
-        assert rec.t == stats.t
-        for pos, arm in enumerate(rec.candidates):
-            assert rec.counts[pos] == stats.counts[arm]
-            assert rec.means[pos] == stats.means[arm]
-        assert rec.mu_star == max(stats.means)
-        stats.record(rec.chosen, reward)
-    assert stats.t == cfg.horizon
+    # each trace replayed through a fresh policy's select reproduces every
+    # recorded action, and the replayed counts the run's final counts
+    cfg, curves = trace_run(tmp_path, policies=["imed-ub", "imed", "osub"])
+    family, graph = cfg.family(), cfg.graph()
+    for spec in cfg.policies:
+        counts = []
+        for run in range(cfg.runs):
+            path = tmp_path / "traces" / f"{spec.display()}__run{run:05d}.jsonl"
+            meta, pulls = read_trace(path, 9)
+            assert meta == {"policy": spec.display(), "rule": spec.name, "run": run}
+            assert len(pulls) == cfg.horizon
+            policy = make_policy(spec, family, graph)
+            stats = PullStats(9)
+            for i, (arm, reward) in enumerate(pulls):
+                if i >= 9:
+                    assert policy.select(stats) == arm, (spec.name, run, i)
+                stats.record(arm, reward)
+            counts.append(stats.counts)
+        assert np.mean(counts, axis=0).tolist() == curves.final_pulls_mean[spec.display()].tolist()
 
 
 def test_check_trace_dir_clean(tmp_path):
@@ -327,18 +337,22 @@ def test_checks_apply_only_to_the_structured_rule(tmp_path):
 
 
 def doctor_first_exploration_row(victim):
-    """Inflate the chosen arm's count past the leader's on the first row
-    where they differ; LB2 is then violated by construction."""
+    """Move the first pull that is not the leader's to an arm outside the
+    leader's neighborhood; MEMBERSHIP is then violated by construction."""
+    graph = line_graph(9)
     lines = victim.read_text().strip().splitlines()
+    stats = PullStats(9)
     for i, line in enumerate(lines[1:], start=1):
-        row = json.loads(line)
-        if row["chosen"] != row["leader"]:
-            pos = row["candidates"].index(row["chosen"])
-            lead_pos = row["candidates"].index(row["leader"])
-            row["counts"][pos] = row["counts"][lead_pos] + 50
-            lines[i] = json.dumps(row)
-            victim.write_text("\n".join(lines) + "\n")
-            return
+        arm, reward = json.loads(line)
+        if i > 9:
+            lead = leader(stats)
+            if arm != lead:
+                outside = 8 if lead < 6 else 0
+                assert outside not in graph.candidates(lead)
+                lines[i] = json.dumps([outside, reward])
+                victim.write_text("\n".join(lines) + "\n")
+                return
+        stats.record(arm, reward)
     raise AssertionError("no exploration step found to doctor")
 
 
@@ -348,7 +362,7 @@ def test_check_trace_dir_flags_doctored_file(tmp_path):
     doctor_first_exploration_row(victim)
     violations, _ = check_trace_dir(tmp_path)
     assert violations
-    assert any(v.check == "LB2" for v in violations)
+    assert any(v.check == "MEMBERSHIP" for v in violations)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +411,39 @@ def test_cli_check_flags_doctored_trace(tmp_path, capsys):
     code = cli_main(["check", str(tmp_path / "out")])
     out = capsys.readouterr()
     assert code == 2
-    assert "LB2" in out.out
+    assert "MEMBERSHIP" in out.out
+
+
+def replace_row(row):
+    return lambda lines: lines[:12] + [row] + lines[13:]
+
+
+# doctored trace files: line 0 is the header, lines 1-9 the initialization
+DOCTORED_TRACES = {
+    "garbage": lambda lines: lines + ["garbage"],
+    "dict-row": replace_row('{"t": 5}'),
+    "arm-99": replace_row("[99,0.0]"),
+    "arm-minus-1": replace_row("[-1,0.0]"),
+    "string-reward": replace_row('[3,"x"]'),
+    "nan-reward": replace_row("[3,NaN]"),
+    "init-order": lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
+    "header": lambda lines: ["[1, 2]"] + lines[1:],
+    "truncated": lambda lines: lines[:5],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCTORED_TRACES))
+def test_cli_check_rejects_malformed_trace(tmp_path, capsys, case):
+    # trace files are outside input: a malformed one is an error naming
+    # its file and line (exit 1), never a traceback
+    cfg_path = write_cli_config(tmp_path)
+    assert cli_main(["run", str(cfg_path), "--traces"]) == 0
+    victim = sorted((tmp_path / "out" / "traces").glob("*.jsonl"))[0]
+    lines = victim.read_text().splitlines()
+    victim.write_text("\n".join(DOCTORED_TRACES[case](lines)) + "\n")
+    capsys.readouterr()
+    assert cli_main(["check", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {victim}:")
 
 
 def test_cli_theory_prints_constants(tmp_path, capsys):
