@@ -631,7 +631,7 @@ def read_trace(path, arm_count):
     file and line.
     """
     pulls = []
-    # undecodable bytes become U+FFFD, which no valid line contains
+    # undecodable bytes turn into U+FFFD and fail the row checks below
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             meta = json.loads(fh.readline())
