@@ -9,6 +9,7 @@ the grid or in which order.
 
 import json
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -28,6 +29,8 @@ from .theory import lower_bound_constant
 
 DEFAULT_GRID_POINTS = 200
 _VIOLATION_SAMPLE_CAP = 20
+# labels name CSV rows and trace files, so they carry no separators
+_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +154,8 @@ def _parse_policy(entry, path):
     if not isinstance(c, (int, float)) or isinstance(c, bool):
         raise ConfigError(f"{path}.c: must be a number")
     label = entry.get("label", "")
-    if not isinstance(label, str):
-        raise ConfigError(f"{path}.label: must be a string")
+    if not isinstance(label, str) or (label and not _LABEL.fullmatch(label)):
+        raise ConfigError(f"{path}.label: must be a string matching {_LABEL.pattern}")
     return PolicySpec(name=name.lower(), gamma=gamma, c=float(c), label=label)
 
 
@@ -206,14 +209,17 @@ def parse_config(data):
         raise ConfigError("policies: need at least one policy")
     policies = [_parse_policy(p, f"policies[{i}]") for i, p in enumerate(raw_policies)]
     seen = {}
-    labeled = []
-    for spec in policies:
+    labeled = {}
+    for i, spec in enumerate(policies):
         label = spec.display()
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:
             label = f"{label}-{seen[label]}"
-        labeled.append(replace(spec, label=label))
-    policies = tuple(labeled)
+        if label in labeled:
+            first = list(labeled).index(label)
+            raise ConfigError(f"policies[{i}].label: {label!r} is the label of policies[{first}]")
+        labeled[label] = replace(spec, label=label)
+    policies = tuple(labeled.values())
 
     horizon = _want(data, "horizon", int, "", required=True)
     if isinstance(horizon, bool) or horizon < len(means):
@@ -407,7 +413,6 @@ def _run_pair(cfg, policy_idx, run_idx, check):
     graph = cfg.graph()
     spec = cfg.policies[policy_idx]
     label = spec.display()
-    run_id = f"{label}/run{run_idx}"
     res = simulate_policy_run(
         family,
         cfg.means,
@@ -420,7 +425,7 @@ def _run_pair(cfg, policy_idx, run_idx, check):
         # the per-step inequalities are guarantees of the structured
         # minimum-index rule only; baselines do not promise them
         check=check and spec.name == "imed-ub",
-        run_id=run_id,
+        run_id=f"{label}/run{run_idx}",
     )
     if cfg.traces:
         write_trace(
@@ -429,19 +434,15 @@ def _run_pair(cfg, policy_idx, run_idx, check):
             res.actions,
             res.rewards,
         )
-    return (
-        policy_idx,
-        run_idx,
-        res.regret,
-        res.final_counts,
-        res.violation_count,
-        res.violations,
-    )
+        res.actions = res.rewards = None
+    return res
 
 
 @dataclass
 class RegretCurves:
-    """Aggregated pseudo-regret over runs, per policy and grid time."""
+    """Aggregated pseudo-regret over runs, per policy and grid time, and
+    each run's final pull counts: final_counts[label] is a (runs, arms)
+    integer array."""
 
     policies: tuple
     grid: tuple
@@ -449,27 +450,23 @@ class RegretCurves:
     std: dict
     q10: dict
     q90: dict
-    final_pulls_mean: dict
+    final_counts: dict
     run_count: int
     config_digest: str
     violation_count: int = 0
     violations: tuple = ()
 
 
-def run_experiment(cfg, workers=None, check_invariants=False):
-    """Execute the full policy x run grid and aggregate regret curves.
+def run_experiment(cfg, check_invariants=False):
+    """Execute the full policy x run grid on cfg.workers processes and
+    aggregate regret curves.
 
     The aggregation is a deterministic reduction ordered by (policy, run),
     so the result does not depend on the worker count.
     """
-    workers = cfg.workers if workers is None else workers
-    if workers < 1:
-        raise ConfigError("workers: must be >= 1")
     n_pol = len(cfg.policies)
-    n_arms = len(cfg.means)
-    glen = len(cfg.grid)
-    regret = np.zeros((n_pol, cfg.runs, glen))
-    counts = np.zeros((n_pol, cfg.runs, n_arms))
+    regret = np.zeros((n_pol, cfg.runs, len(cfg.grid)))
+    counts = np.zeros((n_pol, cfg.runs, len(cfg.means)), dtype=np.int64)
     violation_count = 0
     violation_sample = []
 
@@ -480,27 +477,27 @@ def run_experiment(cfg, workers=None, check_invariants=False):
     rs = [r for _ in range(n_pol) for r in range(cfg.runs)]
     args = (_run_pair, repeat(cfg), ps, rs, repeat(check_invariants))
     with ExitStack() as stack:
-        if workers == 1:
+        if cfg.workers == 1:
             results = map(*args)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(*args, chunksize=max(1, len(ps) // (8 * workers)))
-        for p, r, reg, cnt, vc, vs in results:
-            regret[p, r] = reg
-            counts[p, r] = cnt
-            violation_count += vc
-            if vs and len(violation_sample) < _VIOLATION_SAMPLE_CAP:
-                violation_sample.extend(vs[: _VIOLATION_SAMPLE_CAP - len(violation_sample)])
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
+            results = pool.map(*args, chunksize=max(1, len(ps) // (8 * cfg.workers)))
+        for p, r, res in zip(ps, rs, results):
+            regret[p, r] = res.regret
+            counts[p, r] = res.final_counts
+            violation_count += res.violation_count
+            room = _VIOLATION_SAMPLE_CAP - len(violation_sample)
+            violation_sample.extend(res.violations[:room])
 
     labels = cfg.labels()
-    mean, std, q10, q90, pulls = {}, {}, {}, {}, {}
+    mean, std, q10, q90, final_counts = {}, {}, {}, {}, {}
     for p, label in enumerate(labels):
         block = regret[p]
         mean[label] = block.mean(axis=0)
         std[label] = block.std(axis=0)
         q10[label] = np.percentile(block, 10.0, axis=0)
         q90[label] = np.percentile(block, 90.0, axis=0)
-        pulls[label] = counts[p].mean(axis=0)
+        final_counts[label] = counts[p]
 
     return RegretCurves(
         policies=labels,
@@ -509,7 +506,7 @@ def run_experiment(cfg, workers=None, check_invariants=False):
         std=std,
         q10=q10,
         q90=q90,
-        final_pulls_mean=pulls,
+        final_counts=final_counts,
         run_count=cfg.runs,
         config_digest=cfg.digest(),
         violation_count=violation_count,
@@ -620,15 +617,15 @@ def write_trace(path, meta, actions, rewards):
         fh.writelines(f"[{arm},{reward!r}]\n" for arm, reward in zip(actions, rewards))
 
 
-def read_trace(path, arm_count):
-    """Load one trace file of an arm_count-armed run: (header, pulls), with
-    pulls every (arm, reward) in pull order.
+def read_trace(path, arm_count, family):
+    """Load one trace file of an arm_count-armed run on family: (header,
+    pulls), with pulls every (arm, reward) in pull order.
 
     A trace is outside input: the header must be a JSON object, every row
     [arm, reward] with an integer arm in [0, arm_count) and a finite real
-    reward, and the first arm_count pulls the forced initialization
-    0, 1, ..., arm_count - 1. Anything else is a ConfigError naming the
-    file and line.
+    reward in the family's closed mean domain, and the first arm_count
+    pulls the forced initialization 0, 1, ..., arm_count - 1. Anything
+    else is a ConfigError naming the file and line.
     """
     pulls = []
     # undecodable bytes turn into U+FFFD and fail the row checks below
@@ -647,13 +644,15 @@ def read_trace(path, arm_count):
                     and 0 <= arm < arm_count
                     and type(reward) in (float, int)
                     and math.isfinite(reward)
+                    and family.mean_lo <= reward <= family.mean_hi
                 )
             except (TypeError, ValueError, OverflowError):
                 ok = False
             if not ok:
                 raise ConfigError(
-                    f"{path}:{lineno}: expected [arm, reward] with an integer arm "
-                    f"in [0, {arm_count}) and a finite reward, got {line.strip()[:60]!r}"
+                    f"{path}:{lineno}: expected [arm, reward] with an integer arm in "
+                    f"[0, {arm_count}) and a reward in [{family.mean_lo}, "
+                    f"{family.mean_hi}], got {line.strip()[:60]!r}"
                 )
             if len(pulls) < arm_count and arm != len(pulls):
                 raise ConfigError(
@@ -671,9 +670,10 @@ def check_trace_dir(path):
     """Run the invariant checker over the structured-rule traces below path.
 
     path must hold a config.json (written by the run command) plus trace
-    files, either directly or in a traces/ subdirectory. Each trace is
-    replayed from its first pull through a fresh PullStats, and check_step
-    audits every pull after the initialization. Traces of other decision
+    files, either directly or in a traces/ subdirectory. Each trace must
+    hold exactly the config's horizon of pulls. It is replayed from its
+    first pull through a fresh PullStats, and check_step audits every
+    pull after the initialization. Traces of other decision
     rules are read but not checked: the per-step inequalities are
     guarantees of the structured minimum-index rule only. Returns the
     violation list and the number of pulls checked.
@@ -698,7 +698,12 @@ def check_trace_dir(path):
     checked = 0
     checkable = 0
     for f in files:
-        meta, pulls = read_trace(f, k)
+        meta, pulls = read_trace(f, k, family)
+        if len(pulls) != cfg.horizon:
+            raise ConfigError(
+                f"{f}:{min(len(pulls), cfg.horizon) + 2}: {len(pulls)} pulls, "
+                f"but config.json's horizon is {cfg.horizon}"
+            )
         if meta.get("rule", meta.get("policy")) != "imed-ub":
             continue
         checkable += 1

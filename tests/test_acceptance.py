@@ -2,9 +2,9 @@
 printing one PASS/FAIL line per criterion.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
-complete; the heavyweight Monte Carlo fixtures take a few minutes on one
-core. The Monte Carlo criteria pin master seed 20260810; they are
-deterministic end to end.
+complete; the 500-run Monte Carlo fixture takes a few minutes on two
+worker processes. The Monte Carlo criteria pin master seed 20260810;
+they are deterministic end to end.
 """
 
 import itertools
@@ -53,7 +53,7 @@ def criterion(cid, desc):
     print(f"[criterion {cid}] PASS: {desc} ({time.perf_counter() - start:.1f}s)")
 
 
-def hill_config(policies, runs, horizon, grid=None, seed=MASTER_SEED):
+def hill_config(policies, runs, horizon, grid=None, seed=MASTER_SEED, workers=1):
     return parse_config(
         {
             "family": "bernoulli",
@@ -64,48 +64,22 @@ def hill_config(policies, runs, horizon, grid=None, seed=MASTER_SEED):
             "runs": runs,
             "seed": seed,
             "grid": grid,
+            "workers": workers,
         }
     )
 
 
 @pytest.fixture(scope="module")
 def hill_monte_carlo():
-    """500 seeded runs of the hill instance at T=20000 for all policies."""
-    cfg = hill_config(["imed-ub", "uts", "osub"], 500, 20000, grid=[5000, 10000, 20000])
+    """500 seeded runs of the hill instance at T=20000 for all policies, on
+    two worker processes (criterion 7 pins worker-count independence)."""
+    cfg = hill_config(
+        ["imed-ub", "uts", "osub"], 500, 20000, grid=[5000, 10000, 20000], workers=2
+    )
     start = time.perf_counter()
     curves = run_experiment(cfg)
     elapsed = time.perf_counter() - start
     return cfg, curves, elapsed
-
-
-@pytest.fixture(scope="module")
-def imed_ub_final_counts(hill_monte_carlo):
-    """Per-run final pull counts of imed-ub in the 500-run study.
-
-    RegretCurves keeps only their mean, so the runs are replayed on the
-    seeds run_experiment gives imed-ub; the replay must reproduce that
-    mean exactly.
-    """
-    cfg, curves, _ = hill_monte_carlo
-    label = "imed-ub"
-    policy_idx = cfg.labels().index(label)
-    family, graph = cfg.family(), cfg.graph()
-    counts = np.array(
-        [
-            simulate_policy_run(
-                family,
-                cfg.means,
-                graph,
-                cfg.policies[policy_idx],
-                seed_sequence(cfg.seed, run, policy_idx),
-                cfg.horizon,
-            ).final_counts
-            for run in range(cfg.runs)
-        ],
-        dtype=float,
-    )
-    assert np.array_equal(counts.mean(axis=0), curves.final_pulls_mean[label])
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +212,7 @@ def test_criterion_5b_final_regret_near_constant(hill_monte_carlo):
         assert 0.3 <= ratio <= 5.0
 
 
-def test_criterion_5c_distant_arms_rarely_pulled(hill_monte_carlo, imed_ub_final_counts):
+def test_criterion_5c_distant_arms_rarely_pulled(hill_monte_carlo):
     """Arms at graph distance >= 2 from the optimum get o(log T) pulls
     (c(nu) charges only its neighbors): at T = 20000 the median pulls of
     each distant arm, over all 500 runs, are below 10% of each neighbor's.
@@ -258,8 +232,9 @@ def test_criterion_5c_distant_arms_rarely_pulled(hill_monte_carlo, imed_ub_final
     this check: worst median share 0.41 at T = 20000 on the first 100 seeds.
     """
     cfg, curves, elapsed = hill_monte_carlo
-    median = np.median(imed_ub_final_counts, axis=0)
-    mean = curves.final_pulls_mean["imed-ub"]
+    counts = curves.final_counts["imed-ub"]
+    median = np.median(counts, axis=0)
+    mean = counts.mean(axis=0)
     neighbors = (3, 5)
     distant = (0, 1, 2, 6, 7, 8)
     pairs = [(a, b) for a in distant for b in neighbors]
@@ -268,7 +243,7 @@ def test_criterion_5c_distant_arms_rarely_pulled(hill_monte_carlo, imed_ub_final
     with criterion(
         "5c",
         f"median pulls at distance >= 2 below 10% of every neighbor over "
-        f"{len(imed_ub_final_counts)} runs (worst {worst:.3f}; mean share {worst_mean:.3f})",
+        f"{len(counts)} runs (worst {worst:.3f}; mean share {worst_mean:.3f})",
     ):
         for a, b in pairs:
             assert median[a] < 0.1 * median[b], (a, b, median[a], median[b])
@@ -300,10 +275,11 @@ def test_criterion_6_baselines_within_factor_two(hill_monte_carlo):
 
 def test_criterion_7_worker_count_independence(tmp_path):
     with criterion("7", "regret.csv byte-identical for 1 vs 3 workers"):
-        cfg = hill_config(["imed-ub", "uts"], 8, 1500, grid=[100, 700, 1500])
+        study = dict(policies=["imed-ub", "uts"], runs=8, horizon=1500, grid=[100, 700, 1500])
+        cfg = hill_config(**study)
         report = lower_bound_constant(cfg.bandit_config())
-        one = run_experiment(cfg, workers=1)
-        three = run_experiment(cfg, workers=3)
+        one = run_experiment(cfg)
+        three = run_experiment(hill_config(**study, workers=3))
         emit_outputs(one, report, tmp_path / "w1")
         emit_outputs(three, report, tmp_path / "w3")
         a = (tmp_path / "w1" / "regret.csv").read_bytes()

@@ -179,9 +179,10 @@ def test_init_only_run_has_exact_regret():
 
 
 def test_worker_counts_agree_bitwise(tmp_path):
-    cfg = hill_config(policies=["imed-ub", "uts"], runs=6, horizon=400, grid=[100, 400])
-    a = run_experiment(cfg, workers=1)
-    b = run_experiment(cfg, workers=3)
+    study = dict(policies=["imed-ub", "uts"], runs=6, horizon=400, grid=[100, 400])
+    cfg = hill_config(**study)
+    a = run_experiment(cfg)
+    b = run_experiment(hill_config(**study, workers=3))
     for label in a.policies:
         assert a.mean[label].tolist() == b.mean[label].tolist()
         assert a.std[label].tolist() == b.std[label].tolist()
@@ -205,12 +206,41 @@ def test_mean_regret_is_nondecreasing():
 
 
 def test_regret_curves_metadata():
-    cfg = hill_config(runs=3)
+    cfg = hill_config(runs=3, horizon=100, grid=[9, 50, 100])
     curves = run_experiment(cfg)
     assert curves.run_count == 3
     assert curves.config_digest == cfg.digest()
-    assert set(curves.final_pulls_mean) == {"imed-ub"}
-    assert curves.final_pulls_mean["imed-ub"].sum() == pytest.approx(300.0)
+    assert set(curves.final_counts) == {"imed-ub"}
+    counts = curves.final_counts["imed-ub"]
+    assert counts.shape == (3, 9)
+    assert np.issubdtype(counts.dtype, np.integer)
+    assert counts.sum(axis=1).tolist() == [100, 100, 100]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cells_match_their_seeded_runs(workers):
+    # cell (policy p, run r) is simulate_policy_run on seed_sequence(seed,
+    # r, p), whichever process runs it: its final counts exactly, and its
+    # regret through the curves' reductions
+    cfg = hill_config(policies=["imed-ub", "uts"], runs=3, workers=workers)
+    curves = run_experiment(cfg)
+    family, graph = cfg.family(), cfg.graph()
+    for p, spec in enumerate(cfg.policies):
+        label = spec.display()
+        runs = [
+            simulate_policy_run(
+                family, cfg.means, graph, spec, seed_sequence(cfg.seed, r, p),
+                cfg.horizon, cfg.grid,
+            )
+            for r in range(cfg.runs)
+        ]
+        for r, res in enumerate(runs):
+            assert curves.final_counts[label][r].tolist() == list(res.final_counts)
+        regret = np.array([res.regret for res in runs])
+        assert curves.mean[label].tolist() == regret.mean(axis=0).tolist()
+        assert curves.std[label].tolist() == regret.std(axis=0).tolist()
+        assert curves.q10[label].tolist() == np.percentile(regret, 10.0, axis=0).tolist()
+        assert curves.q90[label].tolist() == np.percentile(regret, 90.0, axis=0).tolist()
 
 
 def test_simulate_rejects_short_horizon():
@@ -298,10 +328,9 @@ def test_trace_replay_reproduces_statistics(tmp_path):
     cfg, curves = trace_run(tmp_path, policies=["imed-ub", "imed", "osub"])
     family, graph = cfg.family(), cfg.graph()
     for spec in cfg.policies:
-        counts = []
         for run in range(cfg.runs):
             path = tmp_path / "traces" / f"{spec.display()}__run{run:05d}.jsonl"
-            meta, pulls = read_trace(path, 9)
+            meta, pulls = read_trace(path, 9, family)
             assert meta == {"policy": spec.display(), "rule": spec.name, "run": run}
             assert len(pulls) == cfg.horizon
             policy = make_policy(spec, family, graph)
@@ -310,8 +339,7 @@ def test_trace_replay_reproduces_statistics(tmp_path):
                 if i >= 9:
                     assert policy.select(stats) == arm, (spec.name, run, i)
                 stats.record(arm, reward)
-            counts.append(stats.counts)
-        assert np.mean(counts, axis=0).tolist() == curves.final_pulls_mean[spec.display()].tolist()
+            assert stats.counts == curves.final_counts[spec.display()][run].tolist()
 
 
 def test_check_trace_dir_clean(tmp_path):
@@ -429,6 +457,10 @@ DOCTORED_TRACES = {
     "init-order": lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
     "header": lambda lines: ["[1, 2]"] + lines[1:],
     "truncated": lambda lines: lines[:5],
+    "cut-short": lambda lines: lines[:61],
+    "overlong": lambda lines: lines + lines[-1:],
+    "reward-5": replace_row("[4,5.0]"),
+    "reward-minus-1": replace_row("[4,-1.0]"),
 }
 
 
@@ -444,6 +476,25 @@ def test_cli_check_rejects_malformed_trace(tmp_path, capsys, case):
     capsys.readouterr()
     assert cli_main(["check", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {victim}:")
+
+
+@pytest.mark.parametrize(
+    "policies, field",
+    [
+        ([{"name": "imed-ub", "label": "a,b"}], "policies[0].label"),
+        ([{"name": "imed-ub", "label": "../../escaped"}], "policies[0].label"),
+        ([{"name": "imed-ub", "label": "imed-ub-2"}, "imed-ub", "imed-ub"], "policies[2].label"),
+    ],
+    ids=["comma", "path", "collision"],
+)
+def test_cli_rejects_unsafe_or_repeated_labels(tmp_path, capsys, policies, field):
+    # labels name regret.csv rows and trace files: a separator, a path or a
+    # label repeated after suffixing is a field error before anything runs
+    cfg_path = write_cli_config(tmp_path, policies=policies)
+    assert cli_main(["run", str(cfg_path), "--traces"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "escaped__run00000.jsonl").exists()
 
 
 def test_cli_theory_prints_constants(tmp_path, capsys):
