@@ -11,7 +11,7 @@ from .env import (
 from .errors import ConfigError, ParameterError, StateError
 from .expfam import Bernoulli, Exponential, Family, Gaussian, make_family
 from .graph import UnimodalGraph, UnimodalityReport, line_graph, validate_unimodal
-from .invariants import ViolationReport, check_step
+from .invariants import ViolationReport, check_log, check_step
 from .policies import (
     Imed,
     ImedUB,
@@ -25,9 +25,9 @@ from .policies import (
 from .runner import (
     ExperimentConfig,
     RegretCurves,
-    RunResult,
     check_trace_dir,
     emit_outputs,
+    grid_regret,
     load_config,
     log_grid,
     parse_config,
@@ -64,7 +64,6 @@ __all__ = [
     "PolicySpec",
     "PullStats",
     "RegretCurves",
-    "RunResult",
     "StateError",
     "TheoryReport",
     "UnimodalGraph",
@@ -72,10 +71,12 @@ __all__ = [
     "Uts",
     "ViolationReport",
     "alpha_nu",
+    "check_log",
     "check_step",
     "check_trace_dir",
     "emit_outputs",
     "epsilon_nu",
+    "grid_regret",
     "leader",
     "line_graph",
     "load_config",

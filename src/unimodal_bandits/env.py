@@ -113,7 +113,7 @@ class _ArmStream:
 
 
 class BanditEnv:
-    """Serves rewards for one run and tracks statistics and pseudo-regret.
+    """Serves rewards for one run and tracks its pull statistics.
 
     Each arm owns one of the supplied random generators, so the reward
     sequence an arm produces depends only on its own stream, not on the
@@ -125,12 +125,10 @@ class BanditEnv:
             raise ParameterError(
                 f"need {config.arm_count} generators, got {len(rngs)}"
             )
-        self.config = config
         self.stats = PullStats(config.arm_count)
         self._streams = [
             _ArmStream(config.family, mu, rng) for mu, rng in zip(config.means, rngs)
         ]
-        self._gaps = config.gaps
 
     def pull(self, arm):
         """Draw one reward from arm and record it in the statistics."""
@@ -139,10 +137,3 @@ class BanditEnv:
         x = self._streams[arm].next()
         self.stats.record(arm, x)
         return x
-
-    def pseudo_regret(self):
-        """sum_a gap_a * N_a(t); evaluated from counts, so the pull-count
-        identity holds exactly at every step."""
-        gaps = self._gaps
-        counts = self.stats.counts
-        return sum(gaps[a] * counts[a] for a in range(len(gaps)))

@@ -89,6 +89,12 @@ class Family:
         one outside the bracket makes the solver start from its midpoint."""
         raise NotImplementedError
 
+    def _inverse_top(self, mu_hat, budget):
+        """Upper end of kl_upper_inverse's bracket, a mean q with
+        kl(mu_hat, q) > budget unless q is the top of the domain; inf when
+        that would overflow."""
+        return self.mean_hi
+
     def kl_upper_inverse(self, mu_hat, budget):
         """Largest mean mu' >= mu_hat with kl(mu_hat, mu') <= budget.
 
@@ -98,30 +104,21 @@ class Family:
         than half the tolerance are lengthened to it so that an iterate
         converging from one side closes the bracket from the other. Stops
         once the bracket is 1e-10 wide and returns its lower end. A finite
-        upper domain boundary caps the result; otherwise hi is first grown
-        by doubling. budget == 0 returns mu_hat exactly, budget == inf the
-        top of the domain.
+        upper domain boundary caps the result; on an unbounded domain the
+        family's _inverse_top ends the bracket. budget == 0 returns mu_hat
+        exactly; budget == inf, or a bracket end that overflows, the top
+        of the domain.
         """
         self._check_inverse_args(mu_hat, budget)
         if budget == 0.0 or mu_hat >= self.mean_hi:
             return mu_hat
         if budget == math.inf:
             return self.mean_hi
-        kl = self.kl
+        hi = self._inverse_top(mu_hat, budget)
+        if hi == math.inf:
+            return self.mean_hi
         newton = self._kl_newton
         lo = mu_hat
-        hi = self.mean_hi
-        if not math.isfinite(hi):
-            step = 1.0 + abs(mu_hat)
-            hi = mu_hat + step
-            for _ in range(BISECT_MAX_ITER):
-                if kl(mu_hat, hi) > budget:
-                    break
-                lo = hi
-                step *= 2.0
-                hi = mu_hat + step
-            else:
-                return hi
         half = 0.5 * BISECT_TOL
         q = self._inverse_start(mu_hat, budget)
         if not lo < q < hi:
@@ -253,9 +250,12 @@ class Exponential(Family):
             return 0.0
         if mu <= 0.0 or mu_prime <= 0.0:
             return math.inf
-        # log(mu'/mu) + mu/mu' - 1 arranged so nearby means do not cancel
+        # log(mu'/mu) + mu/mu' - 1 arranged so nearby means do not cancel;
+        # means more than a float range apart overflow d / mu
         d = mu_prime - mu
         div = math.log1p(d / mu) - d / mu_prime
+        if div == math.inf:
+            div = math.log(mu_prime) - math.log(mu) - d / mu_prime
         return div if div > 0.0 else 0.0
 
     def sample_many(self, mu, rng, size):
@@ -274,13 +274,26 @@ class Exponential(Family):
         if mu <= 0.0:
             return math.inf, 0.0
         d = q - mu
-        return math.log1p(d / mu) - d / q, d / q / q
+        f = math.log1p(d / mu) - d / q
+        if f == math.inf:
+            f = math.log(q) - math.log(mu) - d / q
+        return f, d / q / q
 
     def _inverse_start(self, mu_hat, budget):
         # kl(mu, q) >= (q - mu)^2 / (2 q^2), the variance bound over [mu, q],
         # so this lies at or above the root whenever it is finite
         r = math.sqrt(2.0 * budget)
         return mu_hat / (1.0 - r) if r < 1.0 else math.inf
+
+    def _inverse_top(self, mu_hat, budget):
+        # kl(mu, mu e^(b+1)) = b + e^-(b+1) > b; at mu = 0 every q > 0 has
+        # kl = inf, so the bracket is [0, 0] whatever the budget
+        if mu_hat == 0.0:
+            return 0.0
+        try:
+            return math.exp(math.log(mu_hat) + budget + 1.0)
+        except OverflowError:
+            return math.inf
 
 
 def make_family(kind, variance=None):

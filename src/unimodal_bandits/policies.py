@@ -200,10 +200,6 @@ class PolicySpec:
         return self.label or self.name
 
 
-def needs_rng(spec):
-    return spec.name.lower() == "uts"
-
-
 def make_policy(spec, family, graph, rng=None):
     """Instantiate the policy a PolicySpec names."""
     key = spec.name.lower()

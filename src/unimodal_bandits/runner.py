@@ -19,13 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import BanditConfig, BanditEnv, PullStats
+from .env import BanditConfig, BanditEnv
 from .errors import ConfigError, ParameterError
 from .expfam import make_family
 from .graph import UnimodalGraph, line_graph
-from .invariants import check_step
-from .policies import PolicySpec, make_policy, needs_rng
-from .theory import lower_bound_constant
+from .invariants import check_log
+from .policies import PolicySpec, make_policy
 
 DEFAULT_GRID_POINTS = 200
 _VIOLATION_SAMPLE_CAP = 20
@@ -320,122 +319,84 @@ def seed_sequence(master_seed, run_index, policy_id):
 # ---------------------------------------------------------------------------
 # single-run simulation
 
-@dataclass
-class RunResult:
-    regret: np.ndarray
-    final_counts: tuple
-    violation_count: int = 0
-    violations: tuple = ()
-    actions: list | None = None
-    rewards: list | None = None
+def simulate_policy_run(bandit, spec, seed_seq, horizon):
+    """One full run of spec on the BanditConfig bandit: the forced
+    initialization 0, 1, ..., K-1, then the policy's pulls up to horizon.
 
-
-def simulate_policy_run(
-    family,
-    means,
-    graph,
-    spec,
-    seed_seq,
-    horizon,
-    grid=(),
-    record=False,
-    check=False,
-    run_id="",
-):
-    """One full run: forced initialization then the policy loop to horizon.
-
-    Every arm gets its own child stream of seed_seq (the policy gets one
-    more for its own randomness), so the rewards an arm yields do not
-    depend on the interleaving the policy produces. record keeps every
-    pull's arm and reward (the trace); check runs check_step on the
-    statistics before each pull the policy chooses.
+    Returns the run's pull log (actions, rewards), two lists of horizon
+    entries; regret, counts, traces and checks are derived from it. Every
+    arm gets its own child stream of seed_seq (the policy gets one more
+    for its own randomness), so the rewards an arm yields do not depend
+    on the interleaving the policy produces.
     """
-    n = len(means)
+    n = bandit.arm_count
     if horizon < n:
         raise ParameterError(f"horizon {horizon} below arm count {n}")
     children = seed_seq.spawn(n + 1)
-    rngs = [np.random.default_rng(c) for c in children[:n]]
-    config = BanditConfig(family, means, graph)
-    env = BanditEnv(config, rngs)
+    env = BanditEnv(bandit, [np.random.default_rng(c) for c in children[:n]])
     policy = make_policy(
-        spec, family, graph, rng=np.random.default_rng(children[n]) if needs_rng(spec) else None
+        spec, bandit.family, bandit.graph, rng=np.random.default_rng(children[n])
     )
     stats = env.stats
-    grid = tuple(grid)
-    glen = len(grid)
-    gi = 0
-    samples = np.zeros(glen)
-    actions = [] if record else None
-    rewards = [] if record else None
-    violations = []
-    violation_count = 0
+    select = policy.select
+    pull = env.pull
+    actions = []
+    rewards = []
+    for t in range(horizon):
+        arm = t if t < n else select(stats)
+        actions.append(arm)
+        rewards.append(pull(arm))
+    return actions, rewards
 
-    for a in range(n):
-        x = env.pull(a)
-        if record:
-            actions.append(a)
-            rewards.append(x)
-        if gi < glen and stats.t == grid[gi]:
-            samples[gi] = env.pseudo_regret()
-            gi += 1
 
-    for _ in range(horizon - n):
-        arm = policy.select(stats)
-        if check:
-            bad = check_step(stats, arm, graph, family, run_id)
-            if bad:
-                violation_count += len(bad)
-                if len(violations) < _VIOLATION_SAMPLE_CAP:
-                    violations.extend(bad[: _VIOLATION_SAMPLE_CAP - len(violations)])
-        x = env.pull(arm)
-        if record:
-            actions.append(arm)
-            rewards.append(x)
-        if gi < glen and stats.t == grid[gi]:
-            samples[gi] = env.pseudo_regret()
-            gi += 1
+def grid_regret(bandit, actions, grid):
+    """Pseudo-regret sum_a gap_a N_a(t) of a pull log at each grid time t,
+    and the log's final pull counts.
 
-    return RunResult(
-        regret=samples,
-        final_counts=tuple(stats.counts),
-        violation_count=violation_count,
-        violations=tuple(violations),
-        actions=actions,
-        rewards=rewards,
-    )
+    Evaluated from the counts of the first t pulls, summed in arm order,
+    so the pull-count identity holds exactly at every grid time.
+    """
+    gaps = bandit.gaps
+    counts = [0] * len(gaps)
+    regret = []
+    done = 0
+    for t in grid:
+        for arm in actions[done:t]:
+            counts[arm] += 1
+        done = t
+        regret.append(sum(g * n for g, n in zip(gaps, counts)))
+    for arm in actions[done:]:
+        counts[arm] += 1
+    return np.array(regret), tuple(counts)
 
 
 # ---------------------------------------------------------------------------
 # experiment grid
 
-def _run_pair(cfg, policy_idx, run_idx, check):
-    family = cfg.family()
-    graph = cfg.graph()
+def _run_pair(cfg, bandit, policy_idx, run_idx, check):
+    """(regret at the grid times, final counts, violation count, the first
+    violations) of one (policy, run) cell."""
     spec = cfg.policies[policy_idx]
     label = spec.display()
-    res = simulate_policy_run(
-        family,
-        cfg.means,
-        graph,
-        spec,
-        seed_sequence(cfg.seed, run_idx, policy_idx),
-        cfg.horizon,
-        cfg.grid,
-        record=cfg.traces,
-        # the per-step inequalities are guarantees of the structured
-        # minimum-index rule only; baselines do not promise them
-        check=check and spec.name == "imed-ub",
-        run_id=f"{label}/run{run_idx}",
+    actions, rewards = simulate_policy_run(
+        bandit, spec, seed_sequence(cfg.seed, run_idx, policy_idx), cfg.horizon
     )
+    regret, counts = grid_regret(bandit, actions, cfg.grid)
     if cfg.traces:
         write_trace(
             Path(cfg.out_dir) / "traces" / f"{label}__run{run_idx:05d}.jsonl",
             {"policy": label, "rule": spec.name, "run": run_idx},
-            res.actions,
-            res.rewards,
+            actions,
+            rewards,
         )
-        res.actions = res.rewards = None
-    return res
+    violations = []
+    # the per-step inequalities are guarantees of the structured
+    # minimum-index rule only; baselines do not promise them
+    if check and spec.name == "imed-ub":
+        violations = check_log(
+            actions, rewards, bandit.graph, bandit.family, f"{label}/run{run_idx}"
+        )
+    return regret, counts, len(violations), violations[:_VIOLATION_SAMPLE_CAP]
 
 
 @dataclass
@@ -475,19 +436,19 @@ def run_experiment(cfg, check_invariants=False):
 
     ps = [p for p in range(n_pol) for _ in range(cfg.runs)]
     rs = [r for _ in range(n_pol) for r in range(cfg.runs)]
-    args = (_run_pair, repeat(cfg), ps, rs, repeat(check_invariants))
+    bandit = cfg.bandit_config()
+    args = (_run_pair, repeat(cfg), repeat(bandit), ps, rs, repeat(check_invariants))
     with ExitStack() as stack:
         if cfg.workers == 1:
             results = map(*args)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
             results = pool.map(*args, chunksize=max(1, len(ps) // (8 * cfg.workers)))
-        for p, r, res in zip(ps, rs, results):
-            regret[p, r] = res.regret
-            counts[p, r] = res.final_counts
-            violation_count += res.violation_count
-            room = _VIOLATION_SAMPLE_CAP - len(violation_sample)
-            violation_sample.extend(res.violations[:room])
+        for p, r, (run_regret, run_counts, bad, sample) in zip(ps, rs, results):
+            regret[p, r] = run_regret
+            counts[p, r] = run_counts
+            violation_count += bad
+            violation_sample.extend(sample[: _VIOLATION_SAMPLE_CAP - len(violation_sample)])
 
     labels = cfg.labels()
     mean, std, q10, q90, final_counts = {}, {}, {}, {}, {}
@@ -619,7 +580,7 @@ def write_trace(path, meta, actions, rewards):
 
 def read_trace(path, arm_count, family):
     """Load one trace file of an arm_count-armed run on family: (header,
-    pulls), with pulls every (arm, reward) in pull order.
+    actions, rewards), the pull log in pull order.
 
     A trace is outside input: the header must be a JSON object, every row
     [arm, reward] with an integer arm in [0, arm_count) and a finite real
@@ -627,7 +588,8 @@ def read_trace(path, arm_count, family):
     pulls the forced initialization 0, 1, ..., arm_count - 1. Anything
     else is a ConfigError naming the file and line.
     """
-    pulls = []
+    actions = []
+    rewards = []
     # undecodable bytes turn into U+FFFD and fail the row checks below
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
@@ -654,28 +616,30 @@ def read_trace(path, arm_count, family):
                     f"[0, {arm_count}) and a reward in [{family.mean_lo}, "
                     f"{family.mean_hi}], got {line.strip()[:60]!r}"
                 )
-            if len(pulls) < arm_count and arm != len(pulls):
+            if len(actions) < arm_count and arm != len(actions):
                 raise ConfigError(
-                    f"{path}:{lineno}: pull {len(pulls)} must be the initialization "
-                    f"pull of arm {len(pulls)}, got arm {arm}"
+                    f"{path}:{lineno}: pull {len(actions)} must be the initialization "
+                    f"pull of arm {len(actions)}, got arm {arm}"
                 )
-            pulls.append((arm, float(reward)))
-    if len(pulls) < arm_count:
-        n = len(pulls)
+            actions.append(arm)
+            rewards.append(float(reward))
+    if len(actions) < arm_count:
+        n = len(actions)
         raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
-    return meta, pulls
+    return meta, actions, rewards
 
 
 def check_trace_dir(path):
     """Run the invariant checker over the structured-rule traces below path.
 
     path must hold a config.json (written by the run command) plus trace
-    files, either directly or in a traces/ subdirectory. Each trace must
-    hold exactly the config's horizon of pulls. It is replayed from its
-    first pull through a fresh PullStats, and check_step audits every
-    pull after the initialization. Traces of other decision
-    rules are read but not checked: the per-step inequalities are
-    guarantees of the structured minimum-index rule only. Returns the
+    files, either directly or in a traces/ subdirectory. The trace files
+    must be exactly one {label}__run{r:05d}.jsonl per policy label and run
+    of the config, each with the header run writes for it and exactly the
+    config's horizon of pulls. Each rule is the config's, never a
+    header's: every imed-ub trace is audited by check_log, the other
+    rules' traces are read but not checked, as the per-step inequalities
+    are guarantees of the structured minimum-index rule only. Returns the
     violation list and the number of pulls checked.
     """
     root = Path(path)
@@ -690,32 +654,42 @@ def check_trace_dir(path):
     k = graph.arm_count
 
     trace_dir = root / "traces" if (root / "traces").is_dir() else root
-    files = sorted(trace_dir.glob("*.jsonl"))
-    if not files:
+    found = {f.name for f in trace_dir.glob("*.jsonl")}
+    if not found:
         raise ConfigError(f"{trace_dir}: no trace files (*.jsonl) found")
+    if all(spec.name != "imed-ub" for spec in cfg.policies):
+        raise ConfigError(f"{trace_dir}: no imed-ub traces to check")
+    headers = {
+        f"{spec.display()}__run{run:05d}.jsonl": {
+            "policy": spec.display(), "rule": spec.name, "run": run
+        }
+        for spec in cfg.policies
+        for run in range(cfg.runs)
+    }
+    extra = sorted(found - headers.keys())
+    if extra:
+        raise ConfigError(
+            f"{trace_dir / extra[0]}: not the trace of a policy label and run in config.json"
+        )
+    missing = [name for name in headers if name not in found]
+    if missing:
+        raise ConfigError(
+            f"{trace_dir / missing[0]}: missing; config.json's policies and runs call for it"
+        )
 
     violations = []
     checked = 0
-    checkable = 0
-    for f in files:
-        meta, pulls = read_trace(f, k, family)
-        if len(pulls) != cfg.horizon:
+    for name, header in headers.items():
+        f = trace_dir / name
+        meta, actions, rewards = read_trace(f, k, family)
+        if meta != header:
+            raise ConfigError(f"{f}:1: header {meta} does not match config.json's {header}")
+        if len(actions) != cfg.horizon:
             raise ConfigError(
-                f"{f}:{min(len(pulls), cfg.horizon) + 2}: {len(pulls)} pulls, "
+                f"{f}:{min(len(actions), cfg.horizon) + 2}: {len(actions)} pulls, "
                 f"but config.json's horizon is {cfg.horizon}"
             )
-        if meta.get("rule", meta.get("policy")) != "imed-ub":
-            continue
-        checkable += 1
-        stats = PullStats(k)
-        for arm, reward in pulls[:k]:
-            stats.record(arm, reward)
-        for arm, reward in pulls[k:]:
-            violations.extend(check_step(stats, arm, graph, family, run_id=f.stem))
-            stats.record(arm, reward)
-        checked += len(pulls) - k
-    if not checkable:
-        raise ConfigError(
-            f"{trace_dir}: no imed-ub traces to check ({len(files)} files skipped)"
-        )
+        if header["rule"] == "imed-ub":
+            violations.extend(check_log(actions, rewards, graph, family, run_id=f.stem))
+            checked += len(actions) - k
     return violations, checked

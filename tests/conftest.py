@@ -25,8 +25,11 @@ def bisect_kl_upper_inverse(family, mu_hat, budget):
     """Reference KL upper inverse for the Newton solver in expfam: plain
     bisection on kl(mu_hat, q) <= budget.
 
-    A finite domain top caps the bracket; otherwise it grows by doubling.
-    Returns the lower end of a bracket at most 1e-10 wide.
+    A finite domain top caps the bracket; otherwise it grows by doubling
+    until kl exceeds the budget, and a bracket end that overflows gives the
+    top of the domain. Returns the lower end of a bracket at most 1e-10
+    wide, or after BISECT_MAX_ITER halvings when floats that large are
+    coarser than that.
     """
     if budget == 0.0 or mu_hat >= family.mean_hi:
         return mu_hat
@@ -39,14 +42,12 @@ def bisect_kl_upper_inverse(family, mu_hat, budget):
     else:
         step = 1.0 + abs(mu_hat)
         hi = mu_hat + step
-        for _ in range(BISECT_MAX_ITER):
-            if kl(mu_hat, hi) > budget:
-                break
+        while kl(mu_hat, hi) <= budget:
             lo = hi
             step *= 2.0
             hi = mu_hat + step
-        else:
-            return hi
+            if hi == math.inf:
+                return family.mean_hi
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break

@@ -23,6 +23,7 @@ from unimodal_bandits import (
     Gaussian,
     PolicySpec,
     UnimodalGraph,
+    check_log,
     emit_outputs,
     line_graph,
     lower_bound_constant,
@@ -91,18 +92,13 @@ def test_criterion_1_invariants_hold_everywhere():
     with criterion("1", f"zero invariant violations, {runs} runs x T={horizon} x 3 families"):
         for family in THREE_FAMILIES:
             graph = line_graph(9)
+            bandit = BanditConfig(family, HILL_MEANS, graph)
             for run in range(runs):
-                res = simulate_policy_run(
-                    family,
-                    HILL_MEANS,
-                    graph,
-                    PolicySpec("imed-ub"),
-                    seed_sequence(MASTER_SEED, run, 0),
-                    horizon,
-                    check=True,
-                    run_id=f"{family.name}/run{run}",
+                actions, rewards = simulate_policy_run(
+                    bandit, PolicySpec("imed-ub"), seed_sequence(MASTER_SEED, run, 0), horizon
                 )
-                assert res.violation_count == 0, res.violations[:3]
+                violations = check_log(actions, rewards, graph, family, f"{family.name}/run{run}")
+                assert not violations, violations[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +107,12 @@ def test_criterion_1_invariants_hold_everywhere():
 
 def test_criterion_2_imed_imedub_identical_on_two_arms():
     with criterion("2", "IMED == IMED-UB arm sequences, 2 arms, 50 seeds, T=5000"):
-        fam = Bernoulli()
-        graph = line_graph(2)
-        means = (0.4, 0.6)
+        bandit = BanditConfig(Bernoulli(), (0.4, 0.6), line_graph(2))
         for run in range(50):
             seeded = lambda: seed_sequence(MASTER_SEED, run, 0)
-            a = simulate_policy_run(
-                fam, means, graph, PolicySpec("imed-ub"), seeded(), 5000, record=True
-            )
-            b = simulate_policy_run(
-                fam, means, graph, PolicySpec("imed"), seeded(), 5000, record=True
-            )
-            assert a.actions == b.actions
+            a, _ = simulate_policy_run(bandit, PolicySpec("imed-ub"), seeded(), 5000)
+            b, _ = simulate_policy_run(bandit, PolicySpec("imed"), seeded(), 5000)
+            assert a == b
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from unimodal_bandits import (
     PolicySpec,
     PullStats,
     StateError,
+    grid_regret,
     leader,
     line_graph,
     seed_sequence,
@@ -117,22 +118,33 @@ def test_pull_rejects_bad_arm():
         env.pull(-1)
 
 
-def test_optimal_pull_adds_no_pseudo_regret():
-    env = make_env()
-    env.pull(4)
-    assert env.pseudo_regret() == 0.0
+def test_optimal_pull_adds_no_pseudo_regret(hill_bernoulli):
+    regret, counts = grid_regret(hill_bernoulli, [4], [1])
+    assert regret.tolist() == [0.0] and counts == (0, 0, 0, 0, 1, 0, 0, 0, 0)
 
 
-def test_pseudo_regret_identity_exact():
-    env = make_env(seed=3)
+def test_pseudo_regret_identity_exact(hill_bernoulli):
+    # at every grid time, sum_a gap_a N_a(t) with the counts of the log's
+    # first t pulls, summed in arm order, bit for bit
     rng = np.random.default_rng(0)
-    for a in range(9):
-        env.pull(a)
-    for _ in range(2000):
-        env.pull(int(rng.integers(0, 9)))
-    counts = env.stats.counts
-    gaps = env.config.gaps
-    assert env.pseudo_regret() == sum(gaps[a] * counts[a] for a in range(9))
+    actions = list(range(9)) + rng.integers(0, 9, 2000).tolist()
+    grid = [1, 5, 9, 10, 700, 2009]
+    regret, counts = grid_regret(hill_bernoulli, actions, grid)
+    gaps = hill_bernoulli.gaps
+    for i, t in enumerate(grid):
+        n = [actions[:t].count(a) for a in range(9)]
+        assert regret[i] == sum(gaps[a] * n[a] for a in range(9)), t
+    assert counts == tuple(actions.count(a) for a in range(9))
+
+
+def test_grid_regret_at_times_below_arm_count(hill_bernoulli):
+    # grid times inside the initialization see only its first pulls
+    regret, counts = grid_regret(hill_bernoulli, list(range(9)) + [4, 3], [2, 5, 11])
+    gaps = hill_bernoulli.gaps
+    assert regret[0] == gaps[0] + gaps[1]
+    assert regret[1] == gaps[0] + gaps[1] + gaps[2] + gaps[3]  # gaps[4] == 0
+    assert regret[2] == sum(g * n for g, n in zip(gaps, (1, 1, 1, 2, 2, 1, 1, 1, 1)))
+    assert counts == (1, 1, 1, 2, 2, 1, 1, 1, 1)
 
 
 def test_env_trace_deterministic_under_same_seed():
@@ -145,15 +157,13 @@ def test_env_trace_deterministic_under_same_seed():
     assert rewards_b[0] == rewards_a[0]
 
 
-def test_initialize_pulls_each_arm_once():
+def test_initialize_pulls_each_arm_once(hill_bernoulli):
     # a run opens with the forced initialization 0, 1, ..., K-1, the order
     # trace files are checked against
-    res = simulate_policy_run(
-        Bernoulli(), HILL_MEANS, line_graph(9), PolicySpec("imed-ub"),
-        seed_sequence(0, 0, 0), 9, record=True,
+    actions, rewards = simulate_policy_run(
+        hill_bernoulli, PolicySpec("imed-ub"), seed_sequence(0, 0, 0), 9
     )
-    assert res.actions == list(range(9))
-    assert res.final_counts == (1,) * 9
+    assert actions == list(range(9)) and len(rewards) == 9
 
 
 def test_single_arm_lln_hill_peak():

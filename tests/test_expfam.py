@@ -2,6 +2,7 @@
 oracles, sampling laws, variance envelopes, and the KL upper inverse."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from unimodal_bandits import (
 )
 
 from conftest import FAMILIES, bisect_kl_upper_inverse
+
+EPS = sys.float_info.epsilon
 
 
 def mean_grid(family, n=12, pad=0.0):
@@ -101,9 +104,12 @@ def test_kl_bernoulli_against_two_point_oracle():
 
 
 def test_kl_exponential_closed_form():
-    assert Exponential().kl(0.2, 0.25) == pytest.approx(
-        math.log(1.25) + 0.8 - 1.0, abs=1e-15
-    )
+    expo = Exponential()
+    assert expo.kl(0.2, 0.25) == pytest.approx(math.log(1.25) + 0.8 - 1.0, abs=1e-15)
+    # means whose ratio 1e312 overflows a float
+    far = 312.0 * math.log(10.0) - 1.0
+    assert expo.kl(1e-12, 1e300) == pytest.approx(far, rel=1e-14)
+    assert expo._kl_newton(1e-12, 1e300)[0] == expo.kl(1e-12, 1e300)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
@@ -312,7 +318,8 @@ def inverse_inputs(family, rng, n=3000):
     pairs = list(zip(mus.tolist(), budgets.tolist()))
     edge_budgets = [0.0, 1e-12, 1e-9, 1e-6, 0.01, 1.0, 10.0, math.inf]
     if family.name == "exponential":
-        # the root passes the doubling phase's cap above about 140
+        # roots far above mu_hat; from a budget of about 708 on they leave
+        # float range
         edge_budgets += [50.0, 200.0, 1e3, 1e6]
     pairs += [(m, b) for m in edge_mus for b in edge_budgets]
     return pairs
@@ -328,7 +335,14 @@ def test_inverse_matches_bisection_oracle(family):
             assert out == family.mean_hi, (mu, out)
             continue
         oracle = bisect_kl_upper_inverse(family, mu, budget)
-        assert abs(out - oracle) <= 1e-10, (mu, budget, out, oracle)
+        if oracle == math.inf:
+            # a root past float range gives the top of the domain
+            assert out == oracle, (mu, budget, out)
+            continue
+        # where the root is far above mu_hat, kl computed to an ulp of the
+        # budget pins it only to about budget ulps relative
+        tol = max(1e-10, 4.0 * EPS * budget * oracle)
+        assert abs(out - oracle) <= tol, (mu, budget, out, oracle)
         assert family.kl(mu, out) <= budget, (mu, budget, out)
 
 

@@ -6,10 +6,12 @@ import math
 import pytest
 
 from unimodal_bandits import (
+    BanditConfig,
     Bernoulli,
     Gaussian,
     PolicySpec,
     PullStats,
+    check_log,
     check_step,
     line_graph,
     seed_sequence,
@@ -29,25 +31,13 @@ def clean_stats(counts=(3, 6, 20, 9, 2), means=(0.2, 0.4, 0.5, 0.35, 0.1)):
     return make_stats(counts, means)
 
 
-def replay_violations(actions, rewards, graph, family, run_id=""):
-    """check_step over a pull log replayed from a fresh PullStats."""
-    k = graph.arm_count
-    stats = PullStats(k)
-    out = []
-    for i, (arm, reward) in enumerate(zip(actions, rewards)):
-        if i >= k:
-            out.extend(check_step(stats, arm, graph, family, run_id))
-        stats.record(arm, reward)
-    return out
-
-
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_reference_runs_produce_no_violations(family):
-    res = simulate_policy_run(
-        family, HILL_MEANS, line_graph(9), PolicySpec("imed-ub"),
-        seed_sequence(0, 0, 0), 1500, check=True, run_id="ref",
+    actions, rewards = simulate_policy_run(
+        BanditConfig(family, HILL_MEANS, line_graph(9)), PolicySpec("imed-ub"),
+        seed_sequence(0, 0, 0), 1500,
     )
-    assert res.violation_count == 0 and res.violations == ()
+    assert check_log(actions, rewards, line_graph(9), family, "ref") == []
 
 
 def test_clean_record_passes():
@@ -94,18 +84,21 @@ def test_index_floor_flags_leader_below_best_mean(monkeypatch):
 
 def test_unstructured_rule_eventually_leaves_neighborhood():
     # plain IMED explores every arm, so on a 5-arm line some pull must land
-    # outside the leader's neighborhood; the in-run check flags it, and
-    # replaying the run's pulls through check_step gives the same reports
+    # outside the leader's neighborhood; check_log flags it, and equals
+    # check_step applied by hand to the statistics before each later pull
     means = (0.1, 0.2, 0.5, 0.35, 0.15)
-    res = simulate_policy_run(
-        BERN, means, G5, PolicySpec("imed"), seed_sequence(13, 0, 0), 400,
-        record=True, check=True, run_id="imed",
+    actions, rewards = simulate_policy_run(
+        BanditConfig(BERN, means, G5), PolicySpec("imed"), seed_sequence(13, 0, 0), 400
     )
-    replayed = replay_violations(res.actions, res.rewards, G5, BERN, "imed")
-    assert any(v.check == "MEMBERSHIP" for v in replayed)
-    assert res.violation_count == len(replayed)
-    assert list(res.violations) == replayed[: len(res.violations)]
-    assert len(res.violations) == min(len(replayed), 20)
+    found = check_log(actions, rewards, G5, BERN, "imed")
+    assert any(v.check == "MEMBERSHIP" for v in found)
+    stats = PullStats(5)
+    by_hand = []
+    for i, (arm, reward) in enumerate(zip(actions, rewards)):
+        if i >= 5:
+            by_hand.extend(check_step(stats, arm, G5, BERN, "imed"))
+        stats.record(arm, reward)
+    assert found == by_hand
 
 
 def test_checker_is_pure():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from unimodal_bandits import (
+    BanditConfig,
     Bernoulli,
     Gaussian,
     Imed,
@@ -196,12 +197,12 @@ def test_osub_matches_hand_evaluated_ucb_argmax():
     assert chosen == expected == 1  # fewer pulls inflate the neighbor's bound
 
 
-def assert_pulls_in_argmax_neighborhood(res, graph):
+def assert_pulls_in_argmax_neighborhood(log, graph):
     """Every post-initialization pull of a recorded run lies in the
     neighborhood of the arm of maximal empirical mean (lowest index on
     ties), the leader of OSUB and UTS."""
     stats = PullStats(graph.arm_count)
-    for i, (arm, reward) in enumerate(zip(res.actions, res.rewards)):
+    for i, (arm, reward) in enumerate(zip(*log)):
         if i >= graph.arm_count:
             lead = max(range(graph.arm_count), key=lambda a: (stats.means[a], -a))
             assert arm in graph.candidates(lead), i
@@ -211,10 +212,10 @@ def assert_pulls_in_argmax_neighborhood(res, graph):
 def test_osub_membership_over_runs():
     g = line_graph(9)
     spec = PolicySpec("osub")
-    res = simulate_policy_run(
-        BERN, HILL_MEANS, g, spec, seed_sequence(5, 0, 0), 800, record=True
+    log = simulate_policy_run(
+        BanditConfig(BERN, HILL_MEANS, g), spec, seed_sequence(5, 0, 0), 800
     )
-    assert_pulls_in_argmax_neighborhood(res, g)
+    assert_pulls_in_argmax_neighborhood(log, g)
 
 
 def test_osub_forced_rounds_follow_schedule():
@@ -227,11 +228,11 @@ def test_osub_forced_rounds_follow_schedule():
 
 def osub_hill_actions(family, seed):
     """OSUB's actions on the hill for run `seed` of the acceptance study."""
-    res = simulate_policy_run(
-        family, HILL_MEANS, line_graph(9), PolicySpec("osub"),
-        seed_sequence(20260810, seed, 2), 5000, record=True,
+    actions, _ = simulate_policy_run(
+        BanditConfig(family, HILL_MEANS, line_graph(9)), PolicySpec("osub"),
+        seed_sequence(20260810, seed, 2), 5000,
     )
-    return res.actions
+    return actions
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
@@ -262,10 +263,10 @@ def test_uts_leader_branch_returns_leader():
 def test_uts_sampling_branch_respects_neighborhood():
     g = line_graph(9)
     spec = PolicySpec("uts")
-    res = simulate_policy_run(
-        BERN, HILL_MEANS, g, spec, seed_sequence(6, 0, 0), 800, record=True
+    log = simulate_policy_run(
+        BanditConfig(BERN, HILL_MEANS, g), spec, seed_sequence(6, 0, 0), 800
     )
-    assert_pulls_in_argmax_neighborhood(res, g)
+    assert_pulls_in_argmax_neighborhood(log, g)
 
 
 def test_uts_degenerate_neighbor_posterior_wins_half_the_time():
@@ -320,8 +321,9 @@ def test_gaussian_policy_runs():
     g = line_graph(5)
     fam = Gaussian(0.25)
     spec = PolicySpec("imed-ub")
-    res = simulate_policy_run(
-        fam, (0.1, 0.2, 0.3, 0.2, 0.1), g, spec, seed_sequence(1, 0, 0), 400
+    actions, _ = simulate_policy_run(
+        BanditConfig(fam, (0.1, 0.2, 0.3, 0.2, 0.1), g), spec, seed_sequence(1, 0, 0), 400
     )
-    assert sum(res.final_counts) == 400
-    assert res.final_counts[2] == max(res.final_counts)
+    counts = [actions.count(a) for a in range(5)]
+    assert sum(counts) == 400
+    assert counts[2] == max(counts)

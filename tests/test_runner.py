@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,12 @@ from hypothesis import strategies as st
 
 from unimodal_bandits import (
     ConfigError,
+    Imed,
     PullStats,
+    check_log,
     check_trace_dir,
     emit_outputs,
+    grid_regret,
     leader,
     line_graph,
     load_config,
@@ -224,19 +228,20 @@ def test_cells_match_their_seeded_runs(workers):
     # regret through the curves' reductions
     cfg = hill_config(policies=["imed-ub", "uts"], runs=3, workers=workers)
     curves = run_experiment(cfg)
-    family, graph = cfg.family(), cfg.graph()
+    bandit = cfg.bandit_config()
     for p, spec in enumerate(cfg.policies):
         label = spec.display()
         runs = [
-            simulate_policy_run(
-                family, cfg.means, graph, spec, seed_sequence(cfg.seed, r, p),
-                cfg.horizon, cfg.grid,
+            grid_regret(
+                bandit,
+                simulate_policy_run(bandit, spec, seed_sequence(cfg.seed, r, p), cfg.horizon)[0],
+                cfg.grid,
             )
             for r in range(cfg.runs)
         ]
-        for r, res in enumerate(runs):
-            assert curves.final_counts[label][r].tolist() == list(res.final_counts)
-        regret = np.array([res.regret for res in runs])
+        for r, (_, counts) in enumerate(runs):
+            assert curves.final_counts[label][r].tolist() == list(counts)
+        regret = np.array([run_regret for run_regret, _ in runs])
         assert curves.mean[label].tolist() == regret.mean(axis=0).tolist()
         assert curves.std[label].tolist() == regret.std(axis=0).tolist()
         assert curves.q10[label].tolist() == np.percentile(regret, 10.0, axis=0).tolist()
@@ -246,12 +251,7 @@ def test_cells_match_their_seeded_runs(workers):
 def test_simulate_rejects_short_horizon():
     with pytest.raises(Exception):
         simulate_policy_run(
-            hill_config().family(),
-            HILL_MEANS,
-            line_graph(9),
-            PolicySpec("imed-ub"),
-            seed_sequence(0, 0, 0),
-            4,
+            hill_config().bandit_config(), PolicySpec("imed-ub"), seed_sequence(0, 0, 0), 4
         )
 
 
@@ -330,12 +330,12 @@ def test_trace_replay_reproduces_statistics(tmp_path):
     for spec in cfg.policies:
         for run in range(cfg.runs):
             path = tmp_path / "traces" / f"{spec.display()}__run{run:05d}.jsonl"
-            meta, pulls = read_trace(path, 9, family)
+            meta, actions, rewards = read_trace(path, 9, family)
             assert meta == {"policy": spec.display(), "rule": spec.name, "run": run}
-            assert len(pulls) == cfg.horizon
+            assert len(actions) == len(rewards) == cfg.horizon
             policy = make_policy(spec, family, graph)
             stats = PullStats(9)
-            for i, (arm, reward) in enumerate(pulls):
+            for i, (arm, reward) in enumerate(zip(actions, rewards)):
                 if i >= 9:
                     assert policy.select(stats) == arm, (spec.name, run, i)
                 stats.record(arm, reward)
@@ -362,6 +362,27 @@ def test_checks_apply_only_to_the_structured_rule(tmp_path):
     violations, checked = check_trace_dir(tmp_path)
     assert violations == []
     assert checked == 200 - 9  # one imed-ub run; baseline traces skipped
+
+
+def test_check_invariants_counts_all_and_keeps_twenty(monkeypatch):
+    # with the structured rule swapped for unstructured IMED, pulls leave
+    # the leader's neighborhood; the run counts every violation of every
+    # cell and keeps the first 20 in (policy, run) order
+    monkeypatch.setattr(
+        "unimodal_bandits.policies.ImedUB", lambda family, graph: Imed(family, graph.arm_count)
+    )
+    cfg = hill_config(means=[0.1, 0.2, 0.5, 0.35, 0.15], runs=3, horizon=400, grid=[400], seed=13)
+    curves = run_experiment(cfg, check_invariants=True)
+    bandit = cfg.bandit_config()
+    found = []
+    for r in range(cfg.runs):
+        actions, rewards = simulate_policy_run(
+            bandit, cfg.policies[0], seed_sequence(cfg.seed, r, 0), cfg.horizon
+        )
+        found += check_log(actions, rewards, bandit.graph, bandit.family, f"imed-ub/run{r}")
+    assert len(found) > 20
+    assert curves.violation_count == len(found)
+    assert list(curves.violations) == found[:20]
 
 
 def doctor_first_exploration_row(victim):
@@ -478,6 +499,48 @@ def test_cli_check_rejects_malformed_trace(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {victim}:")
 
 
+def rewrite_header(path, **fields):
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def hide_doctored_row(victim):
+    doctor_first_exploration_row(victim)
+    return rewrite_header(victim, rule="uts")
+
+
+def add_run2(victim):
+    extra = victim.with_name("imed-ub__run00002.jsonl")
+    extra.write_bytes(victim.read_bytes())
+    return rewrite_header(extra, run=2)
+
+
+# doctored trace directories of a clean 2-run imed-ub output: each case
+# edits the traces around run 0's file and returns the file the error must
+# name; a check that trusted the traces would print OK for every one
+DOCTORED_TRACE_DIRS = {
+    "rule-rewritten": hide_doctored_row,
+    "missing-file": lambda victim: victim.unlink() or victim,
+    "extra-file": add_run2,
+    "wrong-run": lambda victim: rewrite_header(victim, run=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCTORED_TRACE_DIRS))
+def test_cli_check_rejects_traces_config_does_not_name(tmp_path, capsys, case):
+    # check takes the rule of each trace from config.json, and the trace
+    # files must be exactly its labels x runs with the headers run writes
+    cfg_path = write_cli_config(tmp_path)
+    assert cli_main(["run", str(cfg_path), "--traces"]) == 0
+    victim = tmp_path / "out" / "traces" / "imed-ub__run00000.jsonl"
+    named = DOCTORED_TRACE_DIRS[case](victim)
+    capsys.readouterr()
+    assert cli_main(["check", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}:")
+
+
 @pytest.mark.parametrize(
     "policies, field",
     [
@@ -587,3 +650,34 @@ def test_cli_overrides_exit_cleanly(runs, horizon, seed, workers, traces, grid):
 
 def test_cli_missing_config_file(tmp_path, capsys):
     assert cli_main(["theory", str(tmp_path / "nope.json")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the benchmark workloads
+
+ROOT = Path(__file__).resolve().parent.parent
+# bench/bench.py's workloads at its "tiny" size: (config, extra run flags)
+BENCH_WORKLOADS = {
+    "hill9-bernoulli": ("configs/hill9_bernoulli.json", ["--workers", "1"]),
+    "grid36-exponential": ("bench/configs/grid36_exponential.json", ["--workers", "1"]),
+    "traced-gaussian": (
+        "bench/configs/hill9_gaussian.json",
+        ["--workers", "1", "--traces", "--check-invariants"],
+    ),
+    "hill9-pool2": ("configs/hill9_bernoulli.json", ["--workers", "2"]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+def test_bench_workloads_match_recorded_digests(tmp_path, capsys, workload):
+    # regret.csv and theory.json of one 1000-step run per policy at the
+    # configs' seed are byte-identical to the digests bench/digests.json
+    # recorded for its "tiny" size
+    config, flags = BENCH_WORKLOADS[workload]
+    out = tmp_path / "out"
+    argv = ["run", str(ROOT / config), "--seed", "20260810", "--runs", "1",
+            "--horizon", "1000", "--out", str(out), *flags]
+    assert cli_main(argv) == 0
+    want = json.loads((ROOT / "bench" / "digests.json").read_text())["tiny"][workload]
+    for name in ("regret.csv", "theory.json"):
+        assert sha256((out / name).read_bytes()).hexdigest() == want[name], name
