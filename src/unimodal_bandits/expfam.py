@@ -251,10 +251,11 @@ class Exponential(Family):
         if mu <= 0.0 or mu_prime <= 0.0:
             return math.inf
         # log(mu'/mu) + mu/mu' - 1 arranged so nearby means do not cancel;
-        # means more than a float range apart overflow d / mu
+        # only an overflow of d / mu, for means more than a float range
+        # apart, takes it above 1e308
         d = mu_prime - mu
         div = math.log1p(d / mu) - d / mu_prime
-        if div == math.inf:
+        if div > 1e308:
             div = math.log(mu_prime) - math.log(mu) - d / mu_prime
         return div if div > 0.0 else 0.0
 
@@ -275,7 +276,7 @@ class Exponential(Family):
             return math.inf, 0.0
         d = q - mu
         f = math.log1p(d / mu) - d / q
-        if f == math.inf:
+        if f > 1e308:
             f = math.log(q) - math.log(mu) - d / q
         return f, d / q / q
 
