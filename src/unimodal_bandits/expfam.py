@@ -244,7 +244,8 @@ class Exponential(Family):
     mean_hi = math.inf
 
     def kl(self, mu, mu_prime):
-        if not (0.0 <= mu and 0.0 <= mu_prime) or math.isinf(mu) or math.isinf(mu_prime):
+        inf = math.inf
+        if not (0.0 <= mu < inf and 0.0 <= mu_prime < inf):
             raise ParameterError(f"exponential means must lie in [0, inf): {mu!r}, {mu_prime!r}")
         if mu == mu_prime:
             return 0.0

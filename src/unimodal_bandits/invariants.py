@@ -12,8 +12,8 @@ leader and a+ the chosen arm:
   INDEX-FLOOR  the leader's index equals log N_L exactly
 
 Each check reads the pull statistics themselves, not a policy's report of
-them; check_log rebuilds them by replaying a run's (arm, reward) log.
-These are deterministic facts about the algorithm, not probabilistic
+them; runner.check_log rebuilds them by replaying a run's (arm, reward)
+log. These are deterministic facts about the algorithm, not probabilistic
 statements: any violation signals an implementation bug or a doctored
 history. Real-valued comparisons use an absolute tolerance of 1e-9 to
 absorb floating-point noise in index recomputation.
@@ -21,9 +21,8 @@ absorb floating-point noise in index recomputation.
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
-from .env import PullStats, leader
+from .env import leader
 from .policies import transport_kl
 
 TOLERANCE = 1e-9
@@ -85,23 +84,4 @@ def check_step(stats, chosen, graph, family, run_id=""):
     if abs(lead_index - floor) > TOLERANCE:
         out.append(ViolationReport(run_id, t, "INDEX-FLOOR", lead_index, floor))
 
-    return out
-
-
-def check_log(actions, rewards, graph, family, run_id=""):
-    """All violations in one run's pull log, in pull order.
-
-    The log is replayed from a fresh PullStats; check_step audits every
-    pull after the initialization (the first arm_count pulls) on the
-    statistics before it.
-    """
-    k = graph.arm_count
-    stats = PullStats(k)
-    pulls = zip(actions, rewards)
-    for arm, reward in islice(pulls, k):
-        stats.record(arm, reward)
-    out = []
-    for arm, reward in pulls:
-        out.extend(check_step(stats, arm, graph, family, run_id))
-        stats.record(arm, reward)
     return out

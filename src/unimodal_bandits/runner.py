@@ -14,16 +14,16 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from hashlib import sha256
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .env import BanditConfig, BanditEnv
+from .env import BanditConfig, BanditEnv, PullStats
 from .errors import ConfigError, ParameterError
 from .expfam import make_family
 from .graph import UnimodalGraph, line_graph
-from .invariants import check_log
+from .invariants import check_step
 from .policies import PolicySpec, make_policy
 
 DEFAULT_GRID_POINTS = 200
@@ -368,6 +368,25 @@ def grid_regret(bandit, actions, grid):
     for arm in actions[done:]:
         counts[arm] += 1
     return np.array(regret), tuple(counts)
+
+
+def check_log(actions, rewards, graph, family, run_id=""):
+    """All invariant violations in one run's pull log, in pull order.
+
+    The log is replayed from a fresh PullStats; check_step audits every
+    pull after the initialization (the first arm_count pulls) on the
+    statistics before it.
+    """
+    k = graph.arm_count
+    stats = PullStats(k)
+    pulls = zip(actions, rewards)
+    for arm, reward in islice(pulls, k):
+        stats.record(arm, reward)
+    out = []
+    for arm, reward in pulls:
+        out.extend(check_step(stats, arm, graph, family, run_id))
+        stats.record(arm, reward)
+    return out
 
 
 # ---------------------------------------------------------------------------
