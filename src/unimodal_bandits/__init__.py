@@ -38,13 +38,7 @@ from .runner import (
     simulate_policy_run,
     write_trace,
 )
-from .theory import (
-    TheoryReport,
-    alpha_nu,
-    epsilon_nu,
-    lower_bound_constant,
-    pull_count_leading_term,
-)
+from .theory import TheoryReport, epsilon_nu, lower_bound_constant
 
 __version__ = "0.1.0"
 
@@ -71,7 +65,6 @@ __all__ = [
     "UnimodalityReport",
     "Uts",
     "ViolationReport",
-    "alpha_nu",
     "check_log",
     "check_step",
     "check_trace_dir",
@@ -86,7 +79,6 @@ __all__ = [
     "make_family",
     "make_policy",
     "parse_config",
-    "pull_count_leading_term",
     "read_trace",
     "run_experiment",
     "seed_sequence",

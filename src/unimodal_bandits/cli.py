@@ -66,15 +66,7 @@ def _cmd_run(args):
         overrides["traces"] = True
     cfg = load_config(args.config, overrides)
 
-    bandit = cfg.bandit_config()
-    report = lower_bound_constant(bandit)
-    if report.epsilon_nu == 0.0:
-        print(
-            "warning: two arms share a mean (epsilon_nu = 0); "
-            "distortion-based bounds are degenerate for this instance",
-            file=sys.stderr,
-        )
-
+    report = lower_bound_constant(cfg.bandit_config())
     curves = run_experiment(cfg, check_invariants=args.check_invariants)
     paths = emit_outputs(curves, report, cfg.out_dir)
     write_config(cfg, cfg.out_dir)
@@ -100,8 +92,6 @@ def _cmd_run(args):
 def _cmd_theory(args):
     cfg = load_config(args.config)
     report = lower_bound_constant(cfg.bandit_config())
-    if report.epsilon_nu == 0.0:
-        print("warning: two arms share a mean (epsilon_nu = 0)", file=sys.stderr)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -2,14 +2,13 @@
 guarantees by construction.
 
 For every decision the rule makes after initialization, with N the pre-pull
-counts, hat-mu the pre-pull empirical means, mu* their maximum, L the
-leader and a+ the chosen arm:
+counts, hat-mu the pre-pull empirical means, L the leader, mu* = hat-mu_L
+its mean and a+ the chosen arm:
 
-  LB1          log N_{a+} <= N_a KL(hat-mu_a, mu*) + log N_a  for each neighbor a of L
-  LB2          N_{a+} <= N_L
-  UB           N_{a+} KL(hat-mu_{a+}, mu*) <= log t
-  MEMBERSHIP   a+ in {L} | neighbors(L)
-  INDEX-FLOOR  the leader's index equals log N_L exactly
+  LB1         log N_{a+} <= N_a KL(hat-mu_a, mu*) + log N_a  for each neighbor a of L
+  LB2         N_{a+} <= N_L
+  UB          N_{a+} KL(hat-mu_{a+}, mu*) <= log t
+  MEMBERSHIP  a+ in {L} | neighbors(L)
 
 Each check reads the pull statistics themselves, not a policy's report of
 them; runner.check_log rebuilds them by replaying a run's (arm, reward)
@@ -47,15 +46,14 @@ def check_step(stats, chosen, graph, family, run_id=""):
     """All violations of choosing arm `chosen` on the pre-pull PullStats
     `stats`; empty list when every check holds.
 
-    The leader is env.leader's (an empirically best arm with the fewest
-    pulls) and mu* the maximal empirical mean, so INDEX-FLOOR holds exactly
-    when the leader is an empirically best arm.
+    The leader is env.leader's, an empirically best arm with the fewest
+    pulls, so mu*, the leader's mean, is the maximal empirical mean.
     """
     lead = leader(stats)
     counts = stats.counts
     means = stats.means
     t = stats.t
-    mu_star = max(means)
+    mu_star = means[lead]
     neigh = graph.neighbors(lead)
     out = []
     n_chosen = counts[chosen]
@@ -78,10 +76,5 @@ def check_step(stats, chosen, graph, family, run_id=""):
     ub_rhs = math.log(t)
     if ub_lhs > ub_rhs + TOLERANCE:
         out.append(ViolationReport(run_id, t, "UB", ub_lhs, ub_rhs))
-
-    floor = math.log(n_leader)
-    lead_index = n_leader * transport_kl(family, means[lead], mu_star) + floor
-    if abs(lead_index - floor) > TOLERANCE:
-        out.append(ViolationReport(run_id, t, "INDEX-FLOOR", lead_index, floor))
 
     return out

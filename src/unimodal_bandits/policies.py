@@ -77,7 +77,6 @@ class ImedUB(Policy):
         self._cands = tuple(graph.candidates(a) for a in range(graph.arm_count))
 
     def select(self, stats):
-        stats.require_initialized()
         lead = leader(stats)
         return _index_argmin(stats, self.family, self._cands[lead], stats.means[lead])
 

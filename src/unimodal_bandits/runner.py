@@ -137,6 +137,14 @@ def _want(data, key, types, path, default=None, required=False):
     return val
 
 
+def _at(path, build, *args):
+    """build(*args), reporting a ParameterError as a ConfigError at path."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parse_policy(entry, path):
     if isinstance(entry, str):
         entry = {"name": entry}
@@ -150,8 +158,8 @@ def _parse_policy(entry, path):
     if gamma is not None and (not isinstance(gamma, int) or isinstance(gamma, bool) or gamma < 0):
         raise ConfigError(f"{path}.gamma: must be a nonnegative integer")
     c = entry.get("c", 0.0)
-    if not isinstance(c, (int, float)) or isinstance(c, bool):
-        raise ConfigError(f"{path}.c: must be a number")
+    if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
+        raise ConfigError(f"{path}.c: must be a finite number")
     label = entry.get("label", "")
     if not isinstance(label, str) or (label and not _LABEL.fullmatch(label)):
         raise ConfigError(f"{path}.label: must be a string matching {_LABEL.pattern}")
@@ -161,8 +169,9 @@ def _parse_policy(entry, path):
 def parse_config(data):
     """Validate a raw config mapping into an ExperimentConfig.
 
-    Errors report the offending field path. The resolved bandit instance
-    itself (domains, unimodality) is validated as well.
+    Errors report the offending field path. The family, the graph and
+    the resolved bandit instance (mean domains, unimodality) are built
+    once here, so their errors name their fields too.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root: expected an object")
@@ -172,8 +181,10 @@ def parse_config(data):
         fam = {"kind": fam}
     kind = _want(fam, "kind", str, "family.", required=True)
     variance = _want(fam, "variance", (int, float), "family.")
+    family = _at("family.kind", make_family, kind)
     if variance is not None:
         variance = float(variance)
+        family = _at("family.variance", make_family, kind, variance)
 
     means = _want(data, "means", list, "", required=True)
     if len(means) < 2:
@@ -183,14 +194,15 @@ def parse_config(data):
             raise ConfigError(f"means[{i}]: must be a number")
     means = tuple(float(m) for m in means)
 
-    graph = _want(data, "graph", (dict, str), "", default="line")
-    if isinstance(graph, str):
-        graph = {"type": graph}
-    gtype = _want(graph, "type", str, "graph.", default="line")
+    raw_graph = _want(data, "graph", (dict, str), "", default="line")
+    if isinstance(raw_graph, str):
+        raw_graph = {"type": raw_graph}
+    gtype = _want(raw_graph, "type", str, "graph.", default="line")
     if gtype == "line":
         graph_kind, graph_edges = "line", None
+        graph = line_graph(len(means))
     elif gtype == "edges":
-        raw = _want(graph, "edges", list, "graph.", required=True)
+        raw = _want(raw_graph, "edges", list, "graph.", required=True)
         edges = []
         for i, e in enumerate(raw):
             if not isinstance(e, (list, tuple)) or len(e) != 2:
@@ -200,6 +212,7 @@ def parse_config(data):
                 raise ConfigError(f"graph.edges[{i}]: arm indices must be integers")
             edges.append((min(a, b), max(a, b)))
         graph_kind, graph_edges = "edges", tuple(sorted(set(edges)))
+        graph = _at("graph.edges", UnimodalGraph, len(means), graph_edges)
     else:
         raise ConfigError(f"graph.type: expected 'line' or 'edges', got {gtype!r}")
 
@@ -258,7 +271,8 @@ def parse_config(data):
     if isinstance(workers, bool) or workers < 1:
         raise ConfigError("workers: must be an integer >= 1")
 
-    cfg = ExperimentConfig(
+    BanditConfig(family, means, graph)
+    return ExperimentConfig(
         kind=kind.lower(),
         variance=variance,
         means=means,
@@ -273,11 +287,6 @@ def parse_config(data):
         out_dir=out_dir,
         workers=workers,
     )
-    try:
-        cfg.bandit_config()
-    except (ConfigError, ParameterError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def load_config(path, overrides=None):

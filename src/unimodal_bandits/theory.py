@@ -1,11 +1,7 @@
-"""Instance-dependent constants: the asymptotic lower-bound constant, the
-minimum half-gap between distinct means, and the divergence distortion
-factor used in pull-count upper bounds."""
+"""Instance-dependent constants, as theory.json reports them: the
+asymptotic lower-bound constant and the minimum half-gap between means."""
 
-import math
 from dataclasses import dataclass, field
-
-from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,7 @@ def lower_bound_constant(cfg):
 def epsilon_nu(cfg):
     """Half the minimum pairwise absolute difference of the true means.
 
-    Zero when two arms share a mean; callers that need it positive should
-    treat that configuration as degenerate.
+    Zero when two arms share a mean.
     """
     means = cfg.means
     n = len(means)
@@ -78,50 +73,3 @@ def epsilon_nu(cfg):
                 best = d
     return best / 2.0 if n > 1 else 0.0
 
-
-def alpha_nu(cfg, eps):
-    """Smallest distortion alpha such that, for every suboptimal arm,
-    KL(mean+eps, best-eps) >= KL(mean, best) / (1 + alpha).
-
-    Computed as the tight maximum ratio minus one; tends to 0 with eps.
-    """
-    e_nu = epsilon_nu(cfg)
-    if not (0.0 < eps < e_nu):
-        raise ParameterError(
-            f"eps must satisfy 0 < eps < epsilon_nu = {e_nu!r}, got {eps!r}"
-        )
-    family = cfg.family
-    mu_star = cfg.optimal_mean
-    family.require_mean(mu_star - eps)
-    worst = 0.0
-    for a in range(cfg.arm_count):
-        if a == cfg.optimal_arm:
-            continue
-        mu = cfg.means[a]
-        family.require_mean(mu + eps)
-        ratio = family.kl(mu, mu_star) / family.kl(mu + eps, mu_star - eps)
-        if ratio - 1.0 > worst:
-            worst = ratio - 1.0
-    return worst
-
-
-def pull_count_leading_term(cfg, eps, horizon):
-    """Computable leading term of the pull-count upper bound for each
-    strictly suboptimal neighbor of the optimal arm at the given horizon:
-    (1 + alpha(eps)) * log(horizon) / KL(neighbor mean, optimal mean).
-
-    The bound's residual terms involve constants with no closed form, so
-    only this dominant part is evaluated.
-    """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon!r}")
-    alpha = alpha_nu(cfg, eps)
-    out = {}
-    for a in cfg.graph.neighbors(cfg.optimal_arm):
-        if cfg.gaps[a] > 0.0:
-            out[a] = (
-                (1.0 + alpha)
-                * math.log(horizon)
-                / cfg.family.kl(cfg.means[a], cfg.optimal_mean)
-            )
-    return out

@@ -17,7 +17,6 @@ from unimodal_bandits import (
     seed_sequence,
     simulate_policy_run,
 )
-from unimodal_bandits import invariants
 
 from conftest import FAMILIES, HILL_MEANS, make_stats
 
@@ -71,15 +70,6 @@ def test_membership_flags_non_neighbor():
     stats = clean_stats(counts=(3, 6, 20, 9, 3))
     out = check_step(stats, 4, G5, BERN)
     assert [v.check for v in out] == ["MEMBERSHIP"]
-
-
-def test_index_floor_flags_leader_below_best_mean(monkeypatch):
-    # a leader rule that picks an arm below the best empirical mean gives
-    # that arm an index above log N_L
-    monkeypatch.setattr(invariants, "leader", lambda stats: 3)
-    out = check_step(clean_stats(), 3, G5, BERN)
-    floor = next(v for v in out if v.check == "INDEX-FLOOR")
-    assert floor.rhs == math.log(9) and floor.lhs == 9 * BERN.kl(0.35, 0.5) + math.log(9)
 
 
 def test_unstructured_rule_eventually_leaves_neighborhood():

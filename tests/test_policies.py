@@ -67,8 +67,9 @@ def test_index_composes_kl_and_log():
 
 
 def test_index_requires_pulled_arm():
-    with pytest.raises(StateError):
-        Imed(BERN, 2).select(make_stats([0, 5], [0.0, 0.2]))
+    for policy in (Imed(BERN, 2), ImedUB(BERN, line_graph(2))):
+        with pytest.raises(StateError):
+            policy.select(make_stats([0, 5], [0.0, 0.2]))
 
 
 def test_index_floor_property():

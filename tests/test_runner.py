@@ -118,39 +118,32 @@ def test_parse_config_round_trip():
 
 
 def test_parse_config_field_errors():
-    with pytest.raises(ConfigError, match="family.kind"):
-        parse_config({"family": {}, "means": [0.1, 0.2], "policies": ["imed"], "horizon": 5})
-    with pytest.raises(ConfigError, match=r"means\[1\]"):
-        parse_config(
-            {"family": "bernoulli", "means": [0.1, "x"], "policies": ["imed"], "horizon": 5}
-        )
-    with pytest.raises(ConfigError, match=r"policies\[0\].name"):
-        parse_config(
-            {"family": "bernoulli", "means": [0.1, 0.2], "policies": ["ucb"], "horizon": 5}
-        )
-    with pytest.raises(ConfigError, match="horizon"):
-        parse_config(
-            {"family": "bernoulli", "means": [0.1, 0.2], "policies": ["imed"], "horizon": 1}
-        )
-    with pytest.raises(ConfigError, match=r"grid\[1\]"):
-        parse_config(
-            {
-                "family": "bernoulli",
-                "means": [0.1, 0.2],
-                "policies": ["imed"],
-                "horizon": 10,
-                "grid": [5, 4],
-            }
-        )
-    with pytest.raises(ConfigError, match="not unimodal"):
-        parse_config(
-            {
-                "family": "bernoulli",
-                "means": [0.3, 0.1, 0.3],
-                "policies": ["imed"],
-                "horizon": 10,
-            }
-        )
+    base = {"family": "bernoulli", "means": [0.1, 0.2], "policies": ["imed"], "horizon": 5}
+    gaussian = {"kind": "gaussian"}
+    cases = [
+        ({"family": {}}, "family.kind: missing"),
+        ({"family": "poisson"}, "family.kind: unknown family kind 'poisson'"),
+        ({"family": {**gaussian, "variance": float("nan")}}, "family.variance: "),
+        ({"family": {**gaussian, "variance": -1.0}}, "family.variance: "),
+        ({"family": {"kind": "bernoulli", "variance": 1.0}}, "family.variance: "),
+        ({"means": [0.1, "x"]}, "means[1]: "),
+        ({"means": [0.3, 0.1, 0.3]}, "means: not unimodal"),
+        ({"graph": {"type": "edges", "edges": [[0, 5]]}}, "graph.edges: "),
+        ({"graph": {"type": "edges", "edges": [[0, 0], [0, 1]]}}, "graph.edges: self-loop"),
+        (
+            {"means": [0.1, 0.2, 0.3], "graph": {"type": "edges", "edges": [[0, 1]]}},
+            "graph.edges: graph is not connected",
+        ),
+        ({"policies": ["ucb"]}, "policies[0].name: "),
+        ({"policies": [{"name": "osub", "c": float("inf")}]}, "policies[0].c: "),
+        ({"policies": ["imed", {"name": "osub", "c": float("nan")}]}, "policies[1].c: "),
+        ({"horizon": 1}, "horizon: "),
+        ({"horizon": 10, "grid": [5, 4]}, "grid[1]: "),
+    ]
+    for change, prefix in cases:
+        with pytest.raises(ConfigError) as err:
+            parse_config({**base, **change})
+        assert str(err.value).startswith(prefix), (change, str(err.value))
 
 
 def test_parse_config_edge_graph_and_duplicate_labels():
@@ -443,7 +436,7 @@ def test_cli_run_and_check_round_trip(tmp_path, capsys):
     assert (tmp_path / "out" / "regret.csv").exists()
     assert (tmp_path / "out" / "config.json").exists()
     assert "invariant checks: all steps clean" in out.out
-    assert "epsilon_nu = 0" in out.err  # duplicate means warned on stderr
+    assert out.err == ""
 
     code = cli_main(["check", str(tmp_path / "out")])
     out = capsys.readouterr()

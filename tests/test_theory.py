@@ -1,7 +1,5 @@
 """Instance-constant tests: the lower-bound constant against a
-high-precision oracle, the minimum half-gap, and the distortion factor."""
-
-import math
+high-precision oracle and the minimum half-gap."""
 
 import mpmath
 import pytest
@@ -11,13 +9,9 @@ from unimodal_bandits import (
     Bernoulli,
     Exponential,
     Gaussian,
-    ParameterError,
-    UnimodalGraph,
-    alpha_nu,
     epsilon_nu,
     line_graph,
     lower_bound_constant,
-    pull_count_leading_term,
 )
 
 from conftest import HILL_MEANS
@@ -111,87 +105,3 @@ def test_epsilon_nu_examples():
 
 def test_epsilon_nu_zero_on_duplicate_means(hill_bernoulli):
     assert epsilon_nu(hill_bernoulli) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# alpha_nu
-
-
-def two_arm_gaussian(mu_hi=1.0, variance=1.0):
-    return BanditConfig(Gaussian(variance), (0.0, mu_hi), line_graph(2))
-
-
-def test_alpha_nu_gaussian_analytic():
-    # ratio of squared gaps: 1 / (1 - 2 eps)^2 - 1 at gap 1
-    cfg = two_arm_gaussian()
-    assert alpha_nu(cfg, 0.1) == pytest.approx(1.0 / 0.8**2 - 1.0, abs=1e-12)
-    assert alpha_nu(cfg, 0.1) == pytest.approx(0.5625, abs=1e-12)
-
-
-def test_alpha_nu_vanishes_with_eps():
-    cfg = two_arm_gaussian()
-    assert alpha_nu(cfg, 1e-9) < 1e-6
-
-
-def test_alpha_nu_monotone_in_eps():
-    cfg = BanditConfig(Bernoulli(), (0.2, 0.45, 0.7), line_graph(3))
-    grid = [0.001 + 0.012 * k for k in range(10)]
-    vals = [alpha_nu(cfg, e) for e in grid]
-    assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_alpha_nu_decreases_to_zero_dyadically():
-    # smooth two-arm instance scaled so the k=20 term sits below 1e-6
-    cfg = two_arm_gaussian(mu_hi=4.0)
-    vals = [alpha_nu(cfg, 2.0**-k) for k in range(5, 21)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1e-6
-    for family, means in [
-        (Bernoulli(), (0.2, 0.6)),
-        (Exponential(), (1.0, 3.0)),
-    ]:
-        cfg = BanditConfig(family, means, line_graph(2))
-        vals = [alpha_nu(cfg, 2.0**-k) for k in range(5, 21)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 1e-4
-
-
-def test_alpha_nu_satisfies_distortion_inequality_on_grid():
-    cfg = BanditConfig(Bernoulli(), (0.15, 0.4, 0.62, 0.3), line_graph(4))
-    fam = cfg.family
-    e_nu = epsilon_nu(cfg)
-    for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-        eps = frac * e_nu
-        alpha = alpha_nu(cfg, eps)
-        assert alpha >= 0.0
-        for a in range(cfg.arm_count):
-            if a == cfg.optimal_arm:
-                continue
-            lhs = fam.kl(cfg.means[a] + eps, cfg.optimal_mean - eps)
-            rhs = fam.kl(cfg.means[a], cfg.optimal_mean) / (1.0 + alpha)
-            assert lhs >= rhs - 1e-12
-
-
-def test_alpha_nu_rejects_bad_eps(hill_bernoulli):
-    cfg = two_arm_gaussian()
-    with pytest.raises(ParameterError):
-        alpha_nu(cfg, 0.0)
-    with pytest.raises(ParameterError):
-        alpha_nu(cfg, 0.5)  # eps must stay below the half-gap
-    with pytest.raises(ParameterError):
-        alpha_nu(hill_bernoulli, 1e-3)  # duplicate means: half-gap is zero
-
-
-def test_alpha_nu_respects_mean_domain():
-    cfg = BanditConfig(Exponential(), (0.001, 1.0), line_graph(2))
-    val = alpha_nu(cfg, 0.0004)
-    assert val >= 0.0
-
-
-def test_pull_count_leading_term():
-    cfg = two_arm_gaussian()
-    terms = pull_count_leading_term(cfg, 0.1, 1000)
-    expected = (1.0 + 0.5625) * math.log(1000) / 0.5
-    assert terms == {0: pytest.approx(expected, rel=1e-12)}
-    with pytest.raises(ParameterError):
-        pull_count_leading_term(cfg, 0.1, 0)
