@@ -8,9 +8,11 @@ violations found.
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .errors import ConfigError, ParameterError
 from .runner import (
+    _VIOLATION_SAMPLE_CAP,
     check_trace_dir,
     emit_outputs,
     load_config,
@@ -99,9 +101,16 @@ def _cmd_theory(args):
 def _cmd_check(args):
     violations, checked = check_trace_dir(args.trace_dir)
     if violations:
-        for v in violations:
+        shown = violations[:_VIOLATION_SAMPLE_CAP]
+        for v in shown:
             print(v.line())
-        print(f"{len(violations)} violations in {checked} records", file=sys.stderr)
+        per_check = sorted(Counter(v.check for v in violations).items())
+        print(
+            f"{len(violations)} violations in {checked} records, the first "
+            f"{len(shown)} printed; per check: "
+            + ", ".join(f"{check}={n}" for check, n in per_check),
+            file=sys.stderr,
+        )
         return 2
     print(f"OK: {checked} records checked, no violations")
     return 0

@@ -52,6 +52,16 @@ class Family:
         """
         raise NotImplementedError
 
+    def kl_many(self, mu, mu_prime):
+        """kl elementwise over numpy arrays of means (broadcast together),
+        with kl's inf cases and its clamp of rounding below 0 to 0.
+
+        The means must lie in the closed domain; they are not checked.
+        numpy's log and log1p may round an ulp away from math's, so values
+        can differ from kl's by a few ulps of its log terms.
+        """
+        raise NotImplementedError
+
     def sample_many(self, mu, rng, size):
         """size i.i.d. reward draws from the member with mean mu."""
         raise NotImplementedError
@@ -167,6 +177,16 @@ class Bernoulli(Family):
             div += (1.0 - mu) * math.log1p((mu_prime - mu) / (1.0 - mu_prime))
         return div if div > 0.0 else 0.0
 
+    def kl_many(self, mu, mu_prime):
+        # kl's sum term by term; a mu' of 0 or 1 gives inf through a
+        # division by 0 inside the log it enters
+        with np.errstate(divide="ignore", invalid="ignore"):
+            div = np.where(mu > 0.0, mu * np.log(mu / mu_prime), 0.0) + np.where(
+                mu < 1.0, (1.0 - mu) * np.log1p((mu_prime - mu) / (1.0 - mu_prime)), 0.0
+            )
+        div = np.where(div > 0.0, div, 0.0)
+        return np.where(mu == mu_prime, 0.0, div)
+
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return (rng.random(size) < mu).astype(np.float64)
@@ -212,6 +232,10 @@ class Gaussian(Family):
         d = mu_prime - mu
         return d * d / (2.0 * self.sigma2)
 
+    def kl_many(self, mu, mu_prime):
+        d = mu_prime - mu
+        return d * d / (2.0 * self.sigma2)
+
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return rng.normal(mu, self.sigma, size)
@@ -252,13 +276,29 @@ class Exponential(Family):
         if mu <= 0.0 or mu_prime <= 0.0:
             return math.inf
         # log(mu'/mu) + mu/mu' - 1 arranged so nearby means do not cancel;
-        # only an overflow of d / mu, for means more than a float range
-        # apart, takes it above 1e308
+        # means more than a float range apart overflow d / mu and take it
+        # above 1e308, and mu' below 2^-53 mu rounds d / mu to -1, outside
+        # log1p's domain: both fall back to the logs
         d = mu_prime - mu
-        div = math.log1p(d / mu) - d / mu_prime
+        try:
+            div = math.log1p(d / mu) - d / mu_prime
+        except ValueError:
+            div = inf
         if div > 1e308:
             div = math.log(mu_prime) - math.log(mu) - d / mu_prime
         return div if div > 0.0 else 0.0
+
+    def kl_many(self, mu, mu_prime):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d = mu_prime - mu
+            x = d / mu
+            div = np.log1p(x) - d / mu_prime
+            div = np.where(
+                (div > 1e308) | (x <= -1.0), np.log(mu_prime) - np.log(mu) - d / mu_prime, div
+            )
+        div = np.where(div > 0.0, div, 0.0)
+        div = np.where((mu <= 0.0) | (mu_prime <= 0.0), math.inf, div)
+        return np.where(mu == mu_prime, 0.0, div)
 
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)

@@ -11,11 +11,14 @@ its mean and a+ the chosen arm:
   MEMBERSHIP  a+ in {L} | neighbors(L)
 
 Each check reads the pull statistics themselves, not a policy's report of
-them; runner.check_log rebuilds them by replaying a run's (arm, reward)
-log. These are deterministic facts about the algorithm, not probabilistic
-statements: any violation signals an implementation bug or a doctored
-history. Real-valued comparisons use an absolute tolerance of 1e-9 to
-absorb floating-point noise in index recomputation.
+them, rebuilt from a run's (arm, reward) log. runner.check_log rebuilds
+them for many steps at once and clears in bulk every step on which numpy
+certifies that all four checks hold; it hands only the other steps to
+check_step, which writes every report. These are deterministic facts
+about the algorithm, not probabilistic statements: any violation signals
+an implementation bug or a doctored history. Real-valued comparisons use
+an absolute tolerance of 1e-9 to absorb floating-point noise in index
+recomputation.
 """
 
 import math

@@ -7,6 +7,7 @@ function of (config, master seed) regardless of how many workers execute
 the grid or in which order.
 """
 
+import io
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from hashlib import sha256
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,16 @@ from .env import BanditConfig, BanditEnv, PullStats
 from .errors import ConfigError, ParameterError
 from .expfam import make_family
 from .graph import UnimodalGraph, line_graph
-from .invariants import check_step
+from .invariants import TOLERANCE, check_step
 from .policies import PolicySpec, make_policy
 
 DEFAULT_GRID_POINTS = 200
 _VIOLATION_SAMPLE_CAP = 20
+# steps check_log audits together: its working memory is O(horizon) plus
+# a few arrays of _AUDIT_BLOCK x arm_count
+_AUDIT_BLOCK = 1024
+# guard band of check_log's certified margins, about 64 eps; see _cleared
+_GUARD = 1.5e-14
 # labels name CSV rows and trace files, so they carry no separators
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -181,6 +187,8 @@ def parse_config(data):
         fam = {"kind": fam}
     kind = _want(fam, "kind", str, "family.", required=True)
     variance = _want(fam, "variance", (int, float), "family.")
+    if isinstance(variance, bool):
+        raise ConfigError("family.variance: must be a number")
     family = _at("family.kind", make_family, kind)
     if variance is not None:
         variance = float(variance)
@@ -379,22 +387,114 @@ def grid_regret(bandit, actions, grid):
     return np.array(regret), tuple(counts)
 
 
+def _cleared(lhs, rhs, n):
+    """Where check_step's test lhs > rhs + TOLERANCE certainly fails, for
+    sides computed with numpy's log and log1p in place of math's; one side
+    is n times a divergence, n a pull count.
+
+    The two libraries' logs differ by an ulp at most (measured on 3e6
+    random inputs each with numpy 2.4 on x86-64), so n KL(m, mu*) differs
+    from check_step's by a few ulps, say 4, of the log terms KL sums.
+    With m near mu* those terms are at most about 2 sqrt(2 KL) in size,
+    and n KL <= rhs where it is compared with a log count, so the sides
+    differ by less than 8 eps sqrt(2 n rhs) <= 6 eps sqrt(n) (1 + |rhs|).
+    The band, _GUARD sqrt(n) (1 + |lhs| + |rhs|), is ten times that. An
+    infinite side is the same inf in both; a NaN margin never clears.
+    """
+    margin = rhs + TOLERANCE - lhs
+    band = _GUARD * np.sqrt(n) * (1.0 + np.abs(lhs) + np.abs(rhs))
+    return (margin > band) | (margin == math.inf)
+
+
 def check_log(actions, rewards, graph, family, run_id=""):
     """All invariant violations in one run's pull log, in pull order.
 
-    The log is replayed from a fresh PullStats; check_step audits every
-    pull after the initialization (the first arm_count pulls) on the
-    statistics before it.
+    Every pull after the initialization (the first arm_count pulls) is
+    audited on the statistics before it, as check_step defines. The
+    pre-pull counts, means and leaders of a block of steps are rebuilt at
+    once, exactly: each arm's sums are accumulated from 0.0 left to right
+    as PullStats.record adds them. MEMBERSHIP and LB2 are then exact
+    integer tests, and LB1 and UB are evaluated with Family.kl_many. A
+    step on which all four hold, LB1 and UB by more than a guard band
+    (_cleared), has no violation; every other step goes to check_step on
+    a PullStats rebuilt from its row, so check_step writes every report.
     """
     k = graph.arm_count
-    stats = PullStats(k)
-    pulls = zip(actions, rewards)
-    for arm, reward in islice(pulls, k):
-        stats.record(arm, reward)
+    arms = np.asarray(actions, dtype=np.intp)
+    total = len(arms)
     out = []
-    for arm, reward in pulls:
-        out.extend(check_step(stats, arm, graph, family, run_id))
-        stats.record(arm, reward)
+    if total <= k:
+        return out
+    # arm a's running sums after 0, 1, ..., n_a pulls fill
+    # sums[seg[a]:seg[a + 1]]; its pull at sorted position p sits at slot
+    # p + a + 1, after the arm's leading 0.0
+    n_pulls = np.bincount(arms, minlength=k)
+    seg = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(n_pulls + 1, out=seg[1:])
+    order = np.argsort(arms, kind="stable")
+    slot = np.arange(total) + arms[order] + 1
+    sums = np.zeros(total + k)
+    sums[slot] = np.asarray(rewards, dtype=np.float64)[order]
+    with np.errstate(all="ignore"):
+        for a in range(k):
+            np.add.accumulate(sums[seg[a]:seg[a + 1]], out=sums[seg[a]:seg[a + 1]])
+        means = sums / np.maximum(np.arange(total + k) - np.repeat(seg[:k], n_pulls + 1), 1)
+    seg = seg[:k]
+    # a mean outside the family's closed domain, infinite or NaN makes
+    # check_step raise or compare differently, and so does an arm left
+    # unpulled by the initialization: only the steps before bulk_until,
+    # the first that sees one, may clear in bulk
+    visible = np.zeros(total + k, dtype=np.intp)
+    visible[slot] = order + 1
+    inside = np.isfinite(means) & (means >= family.mean_lo) & (means <= family.mean_hi)
+    bulk_until = visible[~inside].min(initial=total)
+    counts = np.bincount(arms[:k], minlength=k)
+    if not counts.all():
+        bulk_until = k
+    # neighborhoods padded to one width; a padding entry always clears
+    width = graph.max_degree()
+    padded = np.array(
+        [[*graph.neighbors(a), *[a] * width][:width] for a in range(k)], dtype=np.intp
+    )
+    padding = np.arange(width) >= np.array([[len(graph.neighbors(a))] for a in range(k)])
+    member = np.zeros((k, k), dtype=bool)
+    for a in range(k):
+        member[a, list(graph.candidates(a))] = True
+
+    for lo in range(k, total, _AUDIT_BLOCK):
+        hi = min(lo + _AUDIT_BLOCK, total)
+        t = np.arange(lo, hi)
+        rows = np.arange(hi - lo)
+        chosen = arms[lo:hi]
+        # pre-pull counts and means: c[r] and m[r] are PullStats' lists at step lo + r
+        pulled = np.zeros((hi - lo, k), dtype=np.intp)
+        pulled[rows, chosen] = 1
+        c = np.cumsum(pulled, axis=0)
+        c += counts - pulled
+        counts = c[-1] + pulled[-1]
+        m = means[seg + c]
+        mu_star = m.max(axis=1)
+        lead = np.where(m == mu_star[:, None], c, total).argmin(axis=1)
+        n_chosen = c[rows, chosen]
+        nb = padded[lead]
+        n_nb = c[rows[:, None], nb]
+        with np.errstate(all="ignore"):
+            lb1 = n_nb * family.kl_many(m[rows[:, None], nb], mu_star[:, None]) + np.log(n_nb)
+            ub = n_chosen * family.kl_many(m[rows, chosen], mu_star)
+            clear = (
+                (t < bulk_until)
+                & member[lead, chosen]
+                & (n_chosen <= c[rows, lead])
+                & (_cleared(np.log(n_chosen)[:, None], lb1, n_nb) | padding[lead]).all(axis=1)
+                & _cleared(ub, np.log(t), n_chosen)
+            )
+        for r in np.flatnonzero(~clear).tolist():
+            stats = PullStats(k)
+            stats.counts = c[r].tolist()
+            stats.sums = sums[seg + c[r]].tolist()
+            stats.means = m[r].tolist()
+            stats.t = lo + r
+            out.extend(check_step(stats, actions[lo + r], graph, family, run_id))
     return out
 
 
@@ -606,6 +706,87 @@ def write_trace(path, meta, actions, rewards):
         fh.writelines(f"[{arm},{reward!r}]\n" for arm, reward in zip(actions, rewards))
 
 
+def _bulk_rows(body, arm_count, family):
+    """The pull log (actions, rewards) of a trace body written as
+    write_trace writes it and valid as read_trace requires, decoded and
+    validated in one pass; None for any other body.
+
+    Every line must be one [arm,reward] row: it starts with "[", ends
+    with "]" and holds no other bracket, so line i decodes as row i. Lines
+    that form rows only once joined, such as "[1,0.5],[2" and "0.5]", are
+    not accepted.
+    """
+    core = body[:-1] if body.endswith("\n") else body
+    lines = core.count("\n") + 1
+    if not (
+        core.startswith("[")
+        and core.endswith("]")
+        and core.count("[") == core.count("]") == lines == core.count("]\n[") + 1
+    ):
+        return None
+    try:
+        rows = json.loads("[" + core.replace("\n", ",") + "]")
+        if len(rows) != lines or set(map(len, rows)) != {2}:
+            return None
+    except (ValueError, TypeError):
+        return None
+    actions, rewards = zip(*rows)
+    if set(map(type, actions)) != {int} or not set(map(type, rewards)) <= {float, int}:
+        return None
+    try:
+        arms = np.array(actions, dtype=np.int64)
+        values = np.array(rewards, dtype=np.float64)
+    except OverflowError:
+        return None
+    ok = (
+        lines >= arm_count
+        and (arms[:arm_count] == np.arange(arm_count)).all()
+        and 0 <= arms.min()
+        and arms.max() < arm_count
+        and np.isfinite(values).all()
+        and family.mean_lo <= values.min()
+        and values.max() <= family.mean_hi
+    )
+    return (list(actions), values.tolist()) if ok else None
+
+
+def _read_rows(lines, path, arm_count, family):
+    """The pull log (actions, rewards) of a trace body read line by line
+    from lines, the file's second line first; a ConfigError names the
+    first line read_trace does not accept."""
+    actions = []
+    rewards = []
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            arm, reward = json.loads(line)
+            ok = (
+                type(arm) is int
+                and 0 <= arm < arm_count
+                and type(reward) in (float, int)
+                and math.isfinite(reward)
+                and family.mean_lo <= reward <= family.mean_hi
+            )
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(
+                f"{path}:{lineno}: expected [arm, reward] with an integer arm in "
+                f"[0, {arm_count}) and a reward in [{family.mean_lo}, "
+                f"{family.mean_hi}], got {line.strip()[:60]!r}"
+            )
+        if len(actions) < arm_count and arm != len(actions):
+            raise ConfigError(
+                f"{path}:{lineno}: pull {len(actions)} must be the initialization "
+                f"pull of arm {len(actions)}, got arm {arm}"
+            )
+        actions.append(arm)
+        rewards.append(float(reward))
+    if len(actions) < arm_count:
+        n = len(actions)
+        raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
+    return actions, rewards
+
+
 def read_trace(path, arm_count, family):
     """Load one trace file of an arm_count-armed run on family: (header,
     actions, rewards), the pull log in pull order.
@@ -614,11 +795,12 @@ def read_trace(path, arm_count, family):
     [arm, reward] with an integer arm in [0, arm_count) and a finite real
     reward in the family's closed mean domain, and the first arm_count
     pulls the forced initialization 0, 1, ..., arm_count - 1. Anything
-    else is a ConfigError naming the file and line.
+    else is a ConfigError naming the file and line. A body as write_trace
+    writes it is decoded and validated in one pass; any other body is
+    read line by line, which accepts the same rows and names the first
+    bad line.
     """
-    actions = []
-    rewards = []
-    # undecodable bytes turn into U+FFFD and fail the row checks below
+    # undecodable bytes turn into U+FFFD and fail the row checks
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             meta = json.loads(fh.readline())
@@ -626,35 +808,11 @@ def read_trace(path, arm_count, family):
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError(f"{path}:1: header is not a JSON object")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                arm, reward = json.loads(line)
-                ok = (
-                    type(arm) is int
-                    and 0 <= arm < arm_count
-                    and type(reward) in (float, int)
-                    and math.isfinite(reward)
-                    and family.mean_lo <= reward <= family.mean_hi
-                )
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected [arm, reward] with an integer arm in "
-                    f"[0, {arm_count}) and a reward in [{family.mean_lo}, "
-                    f"{family.mean_hi}], got {line.strip()[:60]!r}"
-                )
-            if len(actions) < arm_count and arm != len(actions):
-                raise ConfigError(
-                    f"{path}:{lineno}: pull {len(actions)} must be the initialization "
-                    f"pull of arm {len(actions)}, got arm {arm}"
-                )
-            actions.append(arm)
-            rewards.append(float(reward))
-    if len(actions) < arm_count:
-        n = len(actions)
-        raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
-    return meta, actions, rewards
+        body = fh.read()
+    log = _bulk_rows(body, arm_count, family)
+    if log is None:
+        log = _read_rows(io.StringIO(body), path, arm_count, family)
+    return (meta, *log)
 
 
 def check_trace_dir(path):

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from unimodal_bandits import (
     Exponential,
     Gaussian,
     PullStats,
+    check_step,
     line_graph,
 )
 from unimodal_bandits.expfam import BISECT_MAX_ITER, BISECT_TOL
@@ -57,6 +59,22 @@ def bisect_kl_upper_inverse(family, mu_hat, budget):
         else:
             hi = mid
     return lo
+
+
+def replay_check_log(actions, rewards, graph, family, run_id=""):
+    """Reference audit for runner.check_log: the log replayed through a
+    fresh PullStats, with check_step run on the statistics before every
+    pull after the initialization (the first arm_count pulls)."""
+    k = graph.arm_count
+    stats = PullStats(k)
+    pulls = zip(actions, rewards)
+    for arm, reward in islice(pulls, k):
+        stats.record(arm, reward)
+    out = []
+    for arm, reward in pulls:
+        out.extend(check_step(stats, arm, graph, family, run_id))
+        stats.record(arm, reward)
+    return out
 
 
 def make_stats(counts, means):

@@ -18,6 +18,8 @@ from unimodal_bandits import (
     make_family,
 )
 
+from unimodal_bandits.runner import _GUARD
+
 from conftest import FAMILIES, bisect_kl_upper_inverse
 
 EPS = sys.float_info.epsilon
@@ -110,6 +112,9 @@ def test_kl_exponential_closed_form():
     far = 312.0 * math.log(10.0) - 1.0
     assert expo.kl(1e-12, 1e300) == pytest.approx(far, rel=1e-14)
     assert expo._kl_newton(1e-12, 1e300)[0] == expo.kl(1e-12, 1e300)
+    # a second mean below 2^-53 of the first, which rounds d / mu to -1
+    assert expo.kl(2.0**60, 1.0) == pytest.approx(2.0**60 - 1.0 - 60.0 * math.log(2.0), rel=1e-15)
+    assert expo.kl(1e300, 1e-10) == math.inf
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
@@ -411,3 +416,43 @@ def test_exponential_kl_monotone_property(mu, lift, extra):
     a = fam.kl(mu, mu + lift)
     b = fam.kl(mu, mu + lift + extra)
     assert b >= a - 1e-15
+
+
+MAX = sys.float_info.max
+# each family's closed mean domain, its boundary means drawn often
+DOMAIN_MEANS = {
+    "bernoulli": st.sampled_from([0.0, 1.0, 5e-324, 1.0 - EPS / 2, 0.5]) | st.floats(0.0, 1.0),
+    "gaussian": st.sampled_from([0.0, -5e-324, MAX, -MAX]) | st.floats(-MAX, MAX),
+    "exponential": st.sampled_from([0.0, 5e-324, MAX, 1.0]) | st.floats(0.0, MAX),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kl_many_matches_kl(family, data):
+    # kl_many has kl's inf cases and its 0 at equal means, never goes
+    # below 0, and elsewhere agrees with kl within check_log's guard band
+    # for a single pull
+    means = DOMAIN_MEANS[family.name]
+    lo, hi = max(family.mean_lo, -MAX), min(family.mean_hi, MAX)
+    close = st.tuples(means, st.floats(-1e-6, 1e-6)).map(
+        lambda p: (p[0], min(max(p[0] * (1.0 + p[1]), lo), hi))
+    )
+    pairs = data.draw(
+        st.lists(
+            st.tuples(means, means) | close | means.map(lambda m: (m, m)), min_size=1, max_size=8
+        )
+    )
+    mu, q = (np.array(side) for side in zip(*pairs))
+    with np.errstate(over="ignore"):
+        got = family.kl_many(mu, q)
+    assert got.shape == mu.shape
+    for m, p, g in zip(mu.tolist(), q.tolist(), got.tolist()):
+        want = family.kl(m, p)
+        assert (g == math.inf) == (want == math.inf), (m, p, g, want)
+        assert g >= 0.0
+        if m == p:
+            assert g == 0.0
+        if want != math.inf:
+            assert abs(g - want) <= _GUARD * (1.0 + abs(g) + abs(want)), (m, p, g, want)

@@ -1,16 +1,23 @@
 """Invariant-checker tests: clean runs stay clean, doctored statistics and
-off-neighborhood decisions are flagged, and checking is pure."""
+off-neighborhood decisions are flagged, checking is pure, and the bulk
+audit of a pull log reports exactly what check_step finds on every step."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import unimodal_bandits.runner as runner
 from unimodal_bandits import (
     BanditConfig,
     Bernoulli,
+    Exponential,
     Gaussian,
+    ParameterError,
     PolicySpec,
-    PullStats,
+    StateError,
+    UnimodalGraph,
     check_log,
     check_step,
     line_graph,
@@ -18,7 +25,7 @@ from unimodal_bandits import (
     simulate_policy_run,
 )
 
-from conftest import FAMILIES, HILL_MEANS, make_stats
+from conftest import FAMILIES, HILL_MEANS, make_stats, replay_check_log
 
 G5 = line_graph(5)
 BERN = Bernoulli()
@@ -75,20 +82,14 @@ def test_membership_flags_non_neighbor():
 def test_unstructured_rule_eventually_leaves_neighborhood():
     # plain IMED explores every arm, so on a 5-arm line some pull must land
     # outside the leader's neighborhood; check_log flags it, and equals
-    # check_step applied by hand to the statistics before each later pull
+    # check_step applied to the statistics before each later pull
     means = (0.1, 0.2, 0.5, 0.35, 0.15)
     actions, rewards = simulate_policy_run(
         BanditConfig(BERN, means, G5), PolicySpec("imed"), seed_sequence(13, 0, 0), 400
     )
     found = check_log(actions, rewards, G5, BERN, "imed")
     assert any(v.check == "MEMBERSHIP" for v in found)
-    stats = PullStats(5)
-    by_hand = []
-    for i, (arm, reward) in enumerate(zip(actions, rewards)):
-        if i >= 5:
-            by_hand.extend(check_step(stats, arm, G5, BERN, "imed"))
-        stats.record(arm, reward)
-    assert found == by_hand
+    assert found == replay_check_log(actions, rewards, G5, BERN, "imed")
 
 
 def test_checker_is_pure():
@@ -117,3 +118,162 @@ def test_violation_line_format():
     v = next(v for v in out if v.check == "LB2")
     line = v.line()
     assert "run=p/run3" in line and "check=LB2" in line and "t=64" in line
+
+
+# ---------------------------------------------------------------------------
+# check_log against the step-by-step replay
+
+
+def hill_bandit(family):
+    # the Exponential hill is lifted off 0, where its divergences are inf
+    lift = 0.5 if family.name == "exponential" else 0.0
+    return BanditConfig(family, [m + lift for m in HILL_MEANS], line_graph(9))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_check_log_matches_replay_on_clean_runs(family):
+    bandit = hill_bandit(family)
+    for seed in range(50):
+        actions, rewards = simulate_policy_run(
+            bandit, PolicySpec("imed-ub"), seed_sequence(seed, 0, 0), 2000
+        )
+        want = replay_check_log(actions, rewards, bandit.graph, family, "r")
+        assert check_log(actions, rewards, bandit.graph, family, "r") == want == [], seed
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_check_log_matches_replay_on_unstructured_runs(family):
+    # IMED logs break the structured rule's inequalities on many steps;
+    # every report, in order, matches the replay's
+    bandit = hill_bandit(family)
+    total = 0
+    for seed in range(6):
+        actions, rewards = simulate_policy_run(
+            bandit, PolicySpec("imed"), seed_sequence(seed, 0, 0), 2000
+        )
+        want = replay_check_log(actions, rewards, bandit.graph, family, "r")
+        assert check_log(actions, rewards, bandit.graph, family, "r") == want, seed
+        total += len(want)
+    assert total > 100
+
+
+def test_check_log_blocks_split_anywhere(monkeypatch):
+    # with 5-step blocks, steps that must go to check_step fall on the
+    # first and the last step of a block
+    monkeypatch.setattr(runner, "_AUDIT_BLOCK", 5)
+    bandit = hill_bandit(BERN)
+    actions, rewards = simulate_policy_run(
+        bandit, PolicySpec("imed"), seed_sequence(3, 0, 0), 1500
+    )
+    want = replay_check_log(actions, rewards, bandit.graph, BERN)
+    assert check_log(actions, rewards, bandit.graph, BERN) == want
+    offsets = {(v.t - 9) % 5 for v in want}
+    assert {0, 4} <= offsets
+
+
+@st.composite
+def unimodal_instances(draw):
+    """(family, means, graph) of a random unimodal bandit: a line, or a
+    random tree with extra edges, and means falling with the graph
+    distance from the peak; arms at one distance share their mean."""
+    k = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        graph = line_graph(k)
+    else:
+        edges = {(draw(st.integers(0, a - 1)), a) for a in range(1, k)}
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+        graph = UnimodalGraph(k, sorted(edges))
+    peak = draw(st.integers(0, k - 1))
+    dist = {peak: 0}
+    frontier = [peak]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in graph.neighbors(a):
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    family = draw(st.sampled_from(FAMILIES))
+    if family.name == "bernoulli":
+        pool = [1e-3, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.99, 0.999]
+    else:
+        pool = [0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0]
+    levels = sorted(draw(st.sets(st.sampled_from(pool), min_size=max(dist.values()) + 1)))
+    levels = levels[::-1]
+    return family, [levels[dist[a]] for a in range(k)], graph
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    instance=unimodal_instances(),
+    rule=st.sampled_from(["imed-ub", "imed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_log_matches_replay_on_random_instances(instance, rule, seed):
+    family, means, graph = instance
+    bandit = BanditConfig(family, means, graph)
+    actions, rewards = simulate_policy_run(
+        bandit, PolicySpec(rule), seed_sequence(seed, 0, 0), 300
+    )
+    want = replay_check_log(actions, rewards, graph, family, "h")
+    assert check_log(actions, rewards, graph, family, "h") == want
+    if rule == "imed-ub":
+        assert want == []
+
+
+REWARDS = {
+    "bernoulli": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    "gaussian": st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0),
+    "exponential": st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 5.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_log_matches_replay_on_random_logs(data):
+    # logs no rule produced: arms drawn at random after the initialization
+    # and rewards with many ties break every check, alone and together
+    family = data.draw(st.sampled_from(FAMILIES))
+    k = data.draw(st.integers(2, 5))
+    graph = line_graph(k) if data.draw(st.booleans()) else UnimodalGraph(
+        k, [(a, b) for a in range(k) for b in range(a + 1, k)]
+    )
+    n = data.draw(st.integers(1, 40))
+    actions = list(range(k)) + data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    rewards = data.draw(
+        st.lists(REWARDS[family.name], min_size=len(actions), max_size=len(actions))
+    )
+    want = replay_check_log(actions, rewards, graph, family, "x")
+    assert check_log(actions, rewards, graph, family, "x") == want
+
+
+BIG = 1.7976931348623157e308
+# (family, actions, rewards) of logs on which check_step raises: sums
+# that overflow to inf, a NaN or a reward outside the family's domain, an
+# arm the initialization leaves out
+FAULTY_LOGS = {
+    "gaussian-inf": (Gaussian(1.0), [0, 1, 2, 1, 1, 0], [0.0, BIG, 0.0, BIG, 0.0, 0.0]),
+    "gaussian-nan": (Gaussian(1.0), [0, 1, 2, 0, 0, 1, 2], [1.0, 0.0, math.nan, 1.0, 1.0, 0.0, 0.0]),
+    "gaussian-minus-inf": (Gaussian(1.0), [0, 1, 2, 0, 0, 1], [-BIG, 0.0, 1.0, -BIG, 0.0, 0.0]),
+    "bernoulli-reward-2": (BERN, [0, 1, 2, 1, 0, 1, 2], [0.0, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0]),
+    "exponential-negative": (Exponential(), [0, 1, 2, 2, 0], [1.0, 2.0, 1.0, -5.0, 1.0]),
+    "init-misses-arm": (BERN, [0, 0, 1, 2, 1], [1.0, 0.0, 1.0, 0.0, 1.0]),
+}
+
+
+def audit_outcome(audit, family, actions, rewards):
+    try:
+        return audit(actions, rewards, line_graph(3), family, "f")
+    except (ParameterError, StateError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(FAULTY_LOGS))
+def test_check_log_raises_where_replay_does(case):
+    family, actions, rewards = FAULTY_LOGS[case]
+    want = audit_outcome(replay_check_log, family, actions, rewards)
+    assert audit_outcome(check_log, family, actions, rewards) == want

@@ -18,8 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unimodal_bandits.runner as runner
 from unimodal_bandits import (
+    BanditConfig,
+    Bernoulli,
     ConfigError,
+    Exponential,
+    Gaussian,
     Imed,
     PullStats,
     check_log,
@@ -40,7 +45,7 @@ from unimodal_bandits import (
 )
 from unimodal_bandits.cli import main as cli_main
 from unimodal_bandits.policies import PolicySpec
-from unimodal_bandits.runner import write_config
+from unimodal_bandits.runner import write_config, write_trace
 
 from conftest import HILL_MEANS
 
@@ -125,6 +130,7 @@ def test_parse_config_field_errors():
         ({"family": "poisson"}, "family.kind: unknown family kind 'poisson'"),
         ({"family": {**gaussian, "variance": float("nan")}}, "family.variance: "),
         ({"family": {**gaussian, "variance": -1.0}}, "family.variance: "),
+        ({"family": {**gaussian, "variance": True}}, "family.variance: "),
         ({"family": {"kind": "bernoulli", "variance": 1.0}}, "family.variance: "),
         ({"means": [0.1, "x"]}, "means[1]: "),
         ({"means": [0.3, 0.1, 0.3]}, "means: not unimodal"),
@@ -467,6 +473,8 @@ DOCTORED_TRACES = {
     "arm-99": replace_row("[99,0.0]"),
     "arm-minus-1": replace_row("[-1,0.0]"),
     "string-reward": replace_row('[3,"x"]'),
+    "float-arm": replace_row("[3.0,0.0]"),
+    "bool-reward": replace_row("[3,true]"),
     "nan-reward": replace_row("[3,NaN]"),
     "init-order": lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
     "header": lambda lines: ["[1, 2]"] + lines[1:],
@@ -490,6 +498,117 @@ def test_cli_check_rejects_malformed_trace(tmp_path, capsys, case):
     capsys.readouterr()
     assert cli_main(["check", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {victim}:")
+
+
+def read_both_ways(monkeypatch, path, arm_count, family):
+    """read_trace's outcome on path, ("log", (header, actions, rewards))
+    or ("error", message), once as it reads and once with the bulk
+    decoder turned off, and whether the bulk decoder accepted the body."""
+    def outcome():
+        try:
+            return "log", read_trace(path, arm_count, family)
+        except ConfigError as exc:
+            return "error", str(exc)
+
+    decoded = []
+    bulk = runner._bulk_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "_bulk_rows", lambda *args: decoded.append(bulk(*args)) or decoded[-1])
+        got = outcome()
+        patch.setattr(runner, "_bulk_rows", lambda *args: None)
+        by_line = outcome()
+    return got, by_line, bool(decoded) and decoded[0] is not None
+
+
+def regroup_rows(lines):
+    """Rows 12 and 13 cut after the second one's "[arm": the two lines
+    decode as two rows once joined, but neither is a row on its own."""
+    first, second = lines[12], lines[13]
+    cut = second.index(",")
+    return lines[:12] + [first + "," + second[:cut], second[cut + 1:]] + lines[14:]
+
+
+# trace texts of a clean body's lines; with DOCTORED_TRACES, the inputs on
+# which both trace readers must agree
+TRACE_TEXTS = {
+    **{case: lambda lines, edit=edit: "\n".join(edit(lines)) + "\n"
+       for case, edit in DOCTORED_TRACES.items()},
+    "clean": lambda lines: "\n".join(lines) + "\n",
+    "regrouped": lambda lines: "\n".join(regroup_rows(lines)) + "\n",
+    "blank-final-line": lambda lines: "\n".join(lines) + "\n\n",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "no-final-newline": lambda lines: "\n".join(lines),
+    "spaced": lambda lines: "\n".join(lines).replace(",", ", ") + "\n",
+}
+BULK_DECODED = {"clean", "crlf", "no-final-newline", "spaced", "cut-short", "overlong"}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_TEXTS))
+def test_bulk_trace_reader_agrees_with_line_reader(tmp_path, monkeypatch, case):
+    # the bulk decoder accepts only what the line-by-line reader accepts,
+    # with the same log, and leaves every error message to it
+    bandit = BanditConfig(Bernoulli(), HILL_MEANS, line_graph(9))
+    actions, rewards = simulate_policy_run(
+        bandit, PolicySpec("imed-ub"), seed_sequence(5, 0, 0), 150
+    )
+    path = tmp_path / "imed-ub__run00000.jsonl"
+    write_trace(path, {"run": 0}, actions, rewards)
+    lines = path.read_text().splitlines()
+    path.write_bytes(TRACE_TEXTS[case](lines).encode())
+    got, by_line, decoded = read_both_ways(monkeypatch, path, 9, bandit.family)
+    assert got == by_line
+    assert decoded == (case in BULK_DECODED)
+    assert got[0] == ("log" if case in BULK_DECODED else "error")
+    if case == "clean":
+        assert got[1] == ({"run": 0}, actions, rewards)
+
+
+@pytest.mark.parametrize(
+    "family, rewards",
+    [
+        (Bernoulli(), [5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53, 0.0, -0.0, 1.0]),
+        (Exponential(), [1.7976931348623157e308, 5e-324, 4.9406564584124654e-322, 0.0, 1.5]),
+        (Gaussian(0.25), [-1.7976931348623157e308, -5e-324, -0.0, 1e-310, -2.5, -1e-300]),
+    ],
+    ids=lambda x: getattr(x, "name", ""),
+)
+def test_trace_round_trip_is_bit_exact(tmp_path, monkeypatch, family, rewards):
+    actions = [i % 3 for i in range(len(rewards))]
+    path = tmp_path / "run.jsonl"
+    write_trace(path, {"run": 0}, actions, rewards)
+    got, by_line, decoded = read_both_ways(monkeypatch, path, 3, family)
+    assert decoded and got == by_line
+    _, (meta, read_actions, read_rewards) = got
+    assert read_actions == actions
+    assert [r.hex() for r in read_rewards] == [r.hex() for r in rewards]
+
+
+def test_cli_check_prints_twenty_violations_and_counts_per_check(tmp_path, capsys, monkeypatch):
+    # unstructured IMED in place of the structured rule breaks its
+    # inequalities on many steps: check prints the first 20 reports and
+    # the total with its count per check id
+    monkeypatch.setattr(
+        "unimodal_bandits.policies.ImedUB", lambda family, graph: Imed(family, graph.arm_count)
+    )
+    cfg_path = write_cli_config(
+        tmp_path, means=[0.1, 0.2, 0.5, 0.35, 0.15], horizon=400, grid=[400], seed=13
+    )
+    assert cli_main(["run", str(cfg_path), "--traces"]) == 0
+    capsys.readouterr()
+    assert cli_main(["check", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    printed = out.out.splitlines()
+    assert len(printed) == 20
+    assert all(line.startswith("VIOLATION ") for line in printed)
+    summary = re.fullmatch(
+        r"(\d+) violations in (\d+) records, the first 20 printed; per check: (.+)\n", out.err
+    )
+    total = int(summary[1])
+    per_check = {k: int(n) for k, n in (item.split("=") for item in summary[3].split(", "))}
+    assert total > 20
+    assert int(summary[2]) == 2 * (400 - 5)
+    assert set(per_check) <= {"LB1", "LB2", "UB", "MEMBERSHIP"}
+    assert sum(per_check.values()) == total
 
 
 def rewrite_header(path, **fields):
