@@ -8,11 +8,10 @@ violations found.
 import argparse
 import json
 import sys
-from collections import Counter
 
 from .errors import ConfigError, ParameterError
 from .runner import (
-    _VIOLATION_SAMPLE_CAP,
+    ViolationTally,
     check_trace_dir,
     emit_outputs,
     load_config,
@@ -82,13 +81,24 @@ def _cmd_run(args):
     print(f"wrote {paths['regret']}")
 
     if args.check_invariants:
-        if curves.violation_count:
-            print(f"{curves.violation_count} invariant violations found:", file=sys.stderr)
-            for v in curves.violations:
-                print("  " + v.line(), file=sys.stderr)
+        if curves.violations.count:
+            _print_violations(curves.violations)
             return 2
         print("invariant checks: all steps clean")
     return 0
+
+
+def _print_violations(tally):
+    """The first violation reports on stdout; their total and the count
+    per check id on stderr."""
+    for v in tally.first:
+        print(v.line())
+    per_check = ", ".join(f"{check}={n}" for check, n in sorted(tally.per_check.items()))
+    print(
+        f"{tally.count} invariant violations, the first {len(tally.first)} printed; "
+        f"per check: {per_check}",
+        file=sys.stderr,
+    )
 
 
 def _cmd_theory(args):
@@ -101,16 +111,7 @@ def _cmd_theory(args):
 def _cmd_check(args):
     violations, checked = check_trace_dir(args.trace_dir)
     if violations:
-        shown = violations[:_VIOLATION_SAMPLE_CAP]
-        for v in shown:
-            print(v.line())
-        per_check = sorted(Counter(v.check for v in violations).items())
-        print(
-            f"{len(violations)} violations in {checked} records, the first "
-            f"{len(shown)} printed; per check: "
-            + ", ".join(f"{check}={n}" for check, n in per_check),
-            file=sys.stderr,
-        )
+        _print_violations(ViolationTally.of(violations))
         return 2
     print(f"OK: {checked} records checked, no violations")
     return 0

@@ -7,13 +7,13 @@ function of (config, master seed) regardless of how many workers execute
 the grid or in which order.
 """
 
-import io
 import json
 import math
 import re
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from itertools import repeat
 from pathlib import Path
@@ -29,11 +29,13 @@ from .policies import PolicySpec, make_policy
 
 DEFAULT_GRID_POINTS = 200
 _VIOLATION_SAMPLE_CAP = 20
-# steps check_log audits together: its working memory is O(horizon) plus
-# a few arrays of _AUDIT_BLOCK x arm_count
+# steps check_log audits together: its working memory is a few arrays of
+# _AUDIT_BLOCK x arm_count
 _AUDIT_BLOCK = 1024
 # guard band of check_log's certified margins, about 64 eps; see _cleared
 _GUARD = 1.5e-14
+# characters of trace body read_trace decodes with one json.loads
+_READ_CHUNK = 1 << 16
 # labels name CSV rows and trace files, so they carry no separators
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -410,47 +412,28 @@ def check_log(actions, rewards, graph, family, run_id=""):
     """All invariant violations in one run's pull log, in pull order.
 
     Every pull after the initialization (the first arm_count pulls) is
-    audited on the statistics before it, as check_step defines. The
-    pre-pull counts, means and leaders of a block of steps are rebuilt at
-    once, exactly: each arm's sums are accumulated from 0.0 left to right
-    as PullStats.record adds them. MEMBERSHIP and LB2 are then exact
-    integer tests, and LB1 and UB are evaluated with Family.kl_many. A
-    step on which all four hold, LB1 and UB by more than a guard band
-    (_cleared), has no violation; every other step goes to check_step on
-    a PullStats rebuilt from its row, so check_step writes every report.
+    audited on the statistics before it, as check_step defines. The log
+    is read in blocks of _AUDIT_BLOCK pulls, carrying each arm's count
+    and sum from block to block, so the working memory is a few arrays
+    of _AUDIT_BLOCK x arm_count. A block's pre-pull counts, means and
+    leaders are rebuilt at once, exactly: each arm's sums are accumulated
+    left to right from the carried sum, as PullStats.record adds them.
+    MEMBERSHIP and LB2 are then exact integer tests, and LB1 and UB are
+    evaluated with Family.kl_many. A step on which all four hold, LB1 and
+    UB by more than a guard band (_cleared), has no violation; every
+    other step goes to check_step on a PullStats rebuilt from its row, so
+    check_step writes every report.
     """
     k = graph.arm_count
-    arms = np.asarray(actions, dtype=np.intp)
-    total = len(arms)
+    total = len(actions)
     out = []
     if total <= k:
         return out
-    # arm a's running sums after 0, 1, ..., n_a pulls fill
-    # sums[seg[a]:seg[a + 1]]; its pull at sorted position p sits at slot
-    # p + a + 1, after the arm's leading 0.0
-    n_pulls = np.bincount(arms, minlength=k)
-    seg = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(n_pulls + 1, out=seg[1:])
-    order = np.argsort(arms, kind="stable")
-    slot = np.arange(total) + arms[order] + 1
-    sums = np.zeros(total + k)
-    sums[slot] = np.asarray(rewards, dtype=np.float64)[order]
-    with np.errstate(all="ignore"):
-        for a in range(k):
-            np.add.accumulate(sums[seg[a]:seg[a + 1]], out=sums[seg[a]:seg[a + 1]])
-        means = sums / np.maximum(np.arange(total + k) - np.repeat(seg[:k], n_pulls + 1), 1)
-    seg = seg[:k]
-    # a mean outside the family's closed domain, infinite or NaN makes
-    # check_step raise or compare differently, and so does an arm left
-    # unpulled by the initialization: only the steps before bulk_until,
-    # the first that sees one, may clear in bulk
-    visible = np.zeros(total + k, dtype=np.intp)
-    visible[slot] = order + 1
-    inside = np.isfinite(means) & (means >= family.mean_lo) & (means <= family.mean_hi)
-    bulk_until = visible[~inside].min(initial=total)
-    counts = np.bincount(arms[:k], minlength=k)
-    if not counts.all():
-        bulk_until = k
+    # an arm left unpulled by the initialization, or a mean outside the
+    # family's closed domain, infinite or NaN, makes check_step raise or
+    # compare differently: only the steps before bulk_until, the first
+    # that sees one, may clear in bulk
+    bulk_until = total if np.bincount(actions[:k], minlength=k).all() else k
     # neighborhoods padded to one width; a padding entry always clears
     width = graph.max_degree()
     padded = np.array(
@@ -460,19 +443,42 @@ def check_log(actions, rewards, graph, family, run_id=""):
     member = np.zeros((k, k), dtype=bool)
     for a in range(k):
         member[a, list(graph.candidates(a))] = True
+    counts = np.zeros(k, dtype=np.intp)
+    sums = np.zeros(k)
 
-    for lo in range(k, total, _AUDIT_BLOCK):
+    for lo in range(0, total, _AUDIT_BLOCK):
         hi = min(lo + _AUDIT_BLOCK, total)
         t = np.arange(lo, hi)
         rows = np.arange(hi - lo)
-        chosen = arms[lo:hi]
+        chosen = np.asarray(actions[lo:hi], dtype=np.intp)
+        # arm a's sums after each of its pulls in the block follow its
+        # carried sum in run[seg[a]:seg[a + 1]]; its pull at sorted
+        # position p sits at slot p + a + 1
+        n_block = np.bincount(chosen, minlength=k)
+        seg = np.zeros(k + 1, dtype=np.intp)
+        np.cumsum(n_block + 1, out=seg[1:])
+        order = np.argsort(chosen, kind="stable")
+        slot = np.empty(hi - lo, dtype=np.intp)
+        slot[order] = rows + chosen[order] + 1
+        run = np.empty(hi - lo + k)
+        run[seg[:k]] = sums
+        run[slot] = np.asarray(rewards[lo:hi], dtype=np.float64)
         # pre-pull counts and means: c[r] and m[r] are PullStats' lists at step lo + r
         pulled = np.zeros((hi - lo, k), dtype=np.intp)
         pulled[rows, chosen] = 1
-        c = np.cumsum(pulled, axis=0)
-        c += counts - pulled
+        local = np.cumsum(pulled, axis=0) - pulled
+        c = counts + local
+        with np.errstate(all="ignore"):
+            for a in np.flatnonzero(n_block).tolist():
+                np.add.accumulate(run[seg[a]:seg[a + 1]], out=run[seg[a]:seg[a + 1]])
+            pre = run[seg[:k] + local]
+            m = pre / np.maximum(c, 1)
+            after = run[slot] / (c[rows, chosen] + 1)
+        inside = np.isfinite(after) & (after >= family.mean_lo) & (after <= family.mean_hi)
+        bulk_until = min(bulk_until, lo + 1 + np.flatnonzero(~inside).min(initial=total))
         counts = c[-1] + pulled[-1]
-        m = means[seg + c]
+        sums = run[seg[1:] - 1]
+
         mu_star = m.max(axis=1)
         lead = np.where(m == mu_star[:, None], c, total).argmin(axis=1)
         n_chosen = c[rows, chosen]
@@ -481,7 +487,8 @@ def check_log(actions, rewards, graph, family, run_id=""):
         with np.errstate(all="ignore"):
             lb1 = n_nb * family.kl_many(m[rows[:, None], nb], mu_star[:, None]) + np.log(n_nb)
             ub = n_chosen * family.kl_many(m[rows, chosen], mu_star)
-            clear = (
+            # the initialization is not audited
+            clear = (t < k) | (
                 (t < bulk_until)
                 & member[lead, chosen]
                 & (n_chosen <= c[rows, lead])
@@ -491,7 +498,7 @@ def check_log(actions, rewards, graph, family, run_id=""):
         for r in np.flatnonzero(~clear).tolist():
             stats = PullStats(k)
             stats.counts = c[r].tolist()
-            stats.sums = sums[seg + c[r]].tolist()
+            stats.sums = pre[r].tolist()
             stats.means = m[r].tolist()
             stats.t = lo + r
             out.extend(check_step(stats, actions[lo + r], graph, family, run_id))
@@ -501,9 +508,32 @@ def check_log(actions, rewards, graph, family, run_id=""):
 # ---------------------------------------------------------------------------
 # experiment grid
 
+@dataclass
+class ViolationTally:
+    """Invariant violations of many runs, added in (policy, run) order:
+    the count per check id and the first _VIOLATION_SAMPLE_CAP reports."""
+
+    per_check: Counter = field(default_factory=Counter)
+    first: list = field(default_factory=list)
+
+    @classmethod
+    def of(cls, violations):
+        """The tally of one list of violation reports."""
+        return cls(Counter(v.check for v in violations), violations[:_VIOLATION_SAMPLE_CAP])
+
+    @property
+    def count(self):
+        return sum(self.per_check.values())
+
+    def add(self, other):
+        """Count another tally's violations after this one's."""
+        self.per_check.update(other.per_check)
+        self.first.extend(other.first[: _VIOLATION_SAMPLE_CAP - len(self.first)])
+
+
 def _run_pair(cfg, bandit, policy_idx, run_idx, check):
-    """(regret at the grid times, final counts, violation count, the first
-    violations) of one (policy, run) cell."""
+    """(regret at the grid times, final counts, ViolationTally) of one
+    (policy, run) cell."""
     spec = cfg.policies[policy_idx]
     label = spec.display()
     actions, rewards = simulate_policy_run(
@@ -524,7 +554,7 @@ def _run_pair(cfg, bandit, policy_idx, run_idx, check):
         violations = check_log(
             actions, rewards, bandit.graph, bandit.family, f"{label}/run{run_idx}"
         )
-    return regret, counts, len(violations), violations[:_VIOLATION_SAMPLE_CAP]
+    return regret, counts, ViolationTally.of(violations)
 
 
 @dataclass
@@ -542,8 +572,7 @@ class RegretCurves:
     final_counts: dict
     run_count: int
     config_digest: str
-    violation_count: int = 0
-    violations: tuple = ()
+    violations: ViolationTally = field(default_factory=ViolationTally)
 
 
 def run_experiment(cfg, check_invariants=False):
@@ -556,8 +585,7 @@ def run_experiment(cfg, check_invariants=False):
     n_pol = len(cfg.policies)
     regret = np.zeros((n_pol, cfg.runs, len(cfg.grid)))
     counts = np.zeros((n_pol, cfg.runs, len(cfg.means)), dtype=np.int64)
-    violation_count = 0
-    violation_sample = []
+    violations = ViolationTally()
 
     if cfg.traces:
         (Path(cfg.out_dir) / "traces").mkdir(parents=True, exist_ok=True)
@@ -572,11 +600,10 @@ def run_experiment(cfg, check_invariants=False):
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
             results = pool.map(*args, chunksize=max(1, len(ps) // (8 * cfg.workers)))
-        for p, r, (run_regret, run_counts, bad, sample) in zip(ps, rs, results):
+        for p, r, (run_regret, run_counts, run_violations) in zip(ps, rs, results):
             regret[p, r] = run_regret
             counts[p, r] = run_counts
-            violation_count += bad
-            violation_sample.extend(sample[: _VIOLATION_SAMPLE_CAP - len(violation_sample)])
+            violations.add(run_violations)
 
     labels = cfg.labels()
     mean, std, q10, q90, final_counts = {}, {}, {}, {}, {}
@@ -598,8 +625,7 @@ def run_experiment(cfg, check_invariants=False):
         final_counts=final_counts,
         run_count=cfg.runs,
         config_digest=cfg.digest(),
-        violation_count=violation_count,
-        violations=tuple(violation_sample),
+        violations=violations,
     )
 
 
@@ -706,48 +732,57 @@ def write_trace(path, meta, actions, rewards):
         fh.writelines(f"[{arm},{reward!r}]\n" for arm, reward in zip(actions, rewards))
 
 
-def _bulk_rows(body, arm_count, family):
-    """The pull log (actions, rewards) of a trace body written as
-    write_trace writes it and valid as read_trace requires, decoded and
-    validated in one pass; None for any other body.
+def _bulk_rows(fh, arm_count, family):
+    """The pull log (actions, rewards) of the rest of the open trace file
+    fh, written as write_trace writes it and valid as read_trace requires,
+    decoded and validated in one pass; None for any other body.
 
-    Every line must be one [arm,reward] row: it starts with "[", ends
-    with "]" and holds no other bracket, so line i decodes as row i. Lines
-    that form rows only once joined, such as "[1,0.5],[2" and "0.5]", are
-    not accepted.
+    The body is decoded in chunks of whole lines, about _READ_CHUNK
+    characters each, one json.loads per chunk, so the text held at once
+    is one chunk's. Every line must be one [arm,reward] row: it starts
+    with "[", ends with "]" and holds no other bracket, so line i decodes
+    as row i. Lines that form rows only once joined, such as "[1,0.5],[2"
+    and "0.5]", are not accepted.
     """
-    core = body[:-1] if body.endswith("\n") else body
-    lines = core.count("\n") + 1
-    if not (
-        core.startswith("[")
-        and core.endswith("]")
-        and core.count("[") == core.count("]") == lines == core.count("]\n[") + 1
-    ):
-        return None
-    try:
-        rows = json.loads("[" + core.replace("\n", ",") + "]")
-        if len(rows) != lines or set(map(len, rows)) != {2}:
+    actions, rewards = [], []
+    while chunk := fh.read(_READ_CHUNK):
+        chunk += fh.readline()
+        core = chunk[:-1] if chunk.endswith("\n") else chunk
+        lines = core.count("\n") + 1
+        if not (
+            core.startswith("[")
+            and core.endswith("]")
+            and core.count("[") == core.count("]") == lines == core.count("]\n[") + 1
+        ):
             return None
-    except (ValueError, TypeError):
-        return None
-    actions, rewards = zip(*rows)
-    if set(map(type, actions)) != {int} or not set(map(type, rewards)) <= {float, int}:
-        return None
-    try:
-        arms = np.array(actions, dtype=np.int64)
-        values = np.array(rewards, dtype=np.float64)
-    except OverflowError:
-        return None
-    ok = (
-        lines >= arm_count
-        and (arms[:arm_count] == np.arange(arm_count)).all()
-        and 0 <= arms.min()
-        and arms.max() < arm_count
-        and np.isfinite(values).all()
-        and family.mean_lo <= values.min()
-        and values.max() <= family.mean_hi
-    )
-    return (list(actions), values.tolist()) if ok else None
+        try:
+            rows = json.loads("[" + core.replace("\n", ",") + "]")
+            if len(rows) != lines or set(map(len, rows)) != {2}:
+                return None
+        except (ValueError, TypeError):
+            return None
+        arms, values = zip(*rows)
+        if set(map(type, arms)) != {int} or not set(map(type, values)) <= {float, int}:
+            return None
+        try:
+            a = np.array(arms, dtype=np.int64)
+            v = np.array(values, dtype=np.float64)
+        except OverflowError:
+            return None
+        done = len(actions)
+        init = a[: max(arm_count - done, 0)]
+        if not (
+            (init == np.arange(done, done + len(init))).all()
+            and 0 <= a.min()
+            and a.max() < arm_count
+            and np.isfinite(v).all()
+            and family.mean_lo <= v.min()
+            and v.max() <= family.mean_hi
+        ):
+            return None
+        actions.extend(arms)
+        rewards.extend(v.tolist())
+    return (actions, rewards) if len(actions) >= arm_count else None
 
 
 def _read_rows(lines, path, arm_count, family):
@@ -808,10 +843,11 @@ def read_trace(path, arm_count, family):
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError(f"{path}:1: header is not a JSON object")
-        body = fh.read()
-    log = _bulk_rows(body, arm_count, family)
-    if log is None:
-        log = _read_rows(io.StringIO(body), path, arm_count, family)
+        start = fh.tell()
+        log = _bulk_rows(fh, arm_count, family)
+        if log is None:
+            fh.seek(start)
+            log = _read_rows(fh, path, arm_count, family)
     return (meta, *log)
 
 

@@ -3,6 +3,7 @@ off-neighborhood decisions are flagged, checking is pure, and the bulk
 audit of a pull log reports exactly what check_step finds on every step."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -247,8 +248,12 @@ def test_check_log_matches_replay_on_random_logs(data):
     rewards = data.draw(
         st.lists(REWARDS[family.name], min_size=len(actions), max_size=len(actions))
     )
+    # blocks as short as two pulls carry every arm's count and sum across
+    # many block boundaries
+    block = data.draw(st.sampled_from([2, 3, 7, runner._AUDIT_BLOCK]))
     want = replay_check_log(actions, rewards, graph, family, "x")
-    assert check_log(actions, rewards, graph, family, "x") == want
+    with mock.patch.object(runner, "_AUDIT_BLOCK", block):
+        assert check_log(actions, rewards, graph, family, "x") == want
 
 
 BIG = 1.7976931348623157e308
@@ -272,8 +277,12 @@ def audit_outcome(audit, family, actions, rewards):
         return type(exc), str(exc)
 
 
+@pytest.mark.parametrize("block", [2, runner._AUDIT_BLOCK])
 @pytest.mark.parametrize("case", sorted(FAULTY_LOGS))
-def test_check_log_raises_where_replay_does(case):
+def test_check_log_raises_where_replay_does(monkeypatch, case, block):
+    # with two-pull blocks, a bad mean found in one block keeps the later
+    # blocks from clearing in bulk
+    monkeypatch.setattr(runner, "_AUDIT_BLOCK", block)
     family, actions, rewards = FAULTY_LOGS[case]
     want = audit_outcome(replay_check_log, family, actions, rewards)
     assert audit_outcome(check_log, family, actions, rewards) == want

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from hashlib import sha256
 from pathlib import Path
 
@@ -356,7 +357,7 @@ def test_checks_apply_only_to_the_structured_rule(tmp_path):
         policies=["imed-ub", "osub", "uts"],
     )
     curves = run_experiment(cfg, check_invariants=True)
-    assert curves.violation_count == 0
+    assert curves.violations.count == 0
     write_config(cfg, cfg.out_dir)
     violations, checked = check_trace_dir(tmp_path)
     assert violations == []
@@ -380,8 +381,9 @@ def test_check_invariants_counts_all_and_keeps_twenty(monkeypatch):
         )
         found += check_log(actions, rewards, bandit.graph, bandit.family, f"imed-ub/run{r}")
     assert len(found) > 20
-    assert curves.violation_count == len(found)
-    assert list(curves.violations) == found[:20]
+    assert curves.violations.count == len(found)
+    assert curves.violations.first == found[:20]
+    assert curves.violations.per_check == Counter(v.check for v in found)
 
 
 def doctor_first_exploration_row(victim):
@@ -543,10 +545,13 @@ TRACE_TEXTS = {
 BULK_DECODED = {"clean", "crlf", "no-final-newline", "spaced", "cut-short", "overlong"}
 
 
+@pytest.mark.parametrize("chunk", [16, runner._READ_CHUNK])
 @pytest.mark.parametrize("case", sorted(TRACE_TEXTS))
-def test_bulk_trace_reader_agrees_with_line_reader(tmp_path, monkeypatch, case):
+def test_bulk_trace_reader_agrees_with_line_reader(tmp_path, monkeypatch, case, chunk):
     # the bulk decoder accepts only what the line-by-line reader accepts,
-    # with the same log, and leaves every error message to it
+    # with the same log, and leaves every error message to it; 16-character
+    # chunks put a chunk boundary after nearly every line
+    monkeypatch.setattr(runner, "_READ_CHUNK", chunk)
     bandit = BanditConfig(Bernoulli(), HILL_MEANS, line_graph(9))
     actions, rewards = simulate_policy_run(
         bandit, PolicySpec("imed-ub"), seed_sequence(5, 0, 0), 150
@@ -583,30 +588,38 @@ def test_trace_round_trip_is_bit_exact(tmp_path, monkeypatch, family, rewards):
     assert [r.hex() for r in read_rewards] == [r.hex() for r in rewards]
 
 
-def test_cli_check_prints_twenty_violations_and_counts_per_check(tmp_path, capsys, monkeypatch):
+def test_cli_run_and_check_print_twenty_violations_and_counts_per_check(
+    tmp_path, capsys, monkeypatch
+):
     # unstructured IMED in place of the structured rule breaks its
-    # inequalities on many steps: check prints the first 20 reports and
-    # the total with its count per check id
+    # inequalities on many steps: run --check-invariants and check both
+    # print the first 20 reports and the same total with its count per
+    # check id
     monkeypatch.setattr(
         "unimodal_bandits.policies.ImedUB", lambda family, graph: Imed(family, graph.arm_count)
     )
     cfg_path = write_cli_config(
         tmp_path, means=[0.1, 0.2, 0.5, 0.35, 0.15], horizon=400, grid=[400], seed=13
     )
-    assert cli_main(["run", str(cfg_path), "--traces"]) == 0
-    capsys.readouterr()
+    assert cli_main(["run", str(cfg_path), "--traces", "--check-invariants"]) == 2
+    ran = capsys.readouterr()
     assert cli_main(["check", str(tmp_path / "out")]) == 2
     out = capsys.readouterr()
     printed = out.out.splitlines()
     assert len(printed) == 20
     assert all(line.startswith("VIOLATION ") for line in printed)
+    # run names a run by label and index, check by its trace file
+    ran_printed = [line for line in ran.out.splitlines() if line.startswith("VIOLATION ")]
+    assert [line.split(" ", 2)[2] for line in ran_printed] == [
+        line.split(" ", 2)[2] for line in printed
+    ]
+    assert ran.err == out.err
     summary = re.fullmatch(
-        r"(\d+) violations in (\d+) records, the first 20 printed; per check: (.+)\n", out.err
+        r"(\d+) invariant violations, the first 20 printed; per check: (.+)\n", out.err
     )
     total = int(summary[1])
-    per_check = {k: int(n) for k, n in (item.split("=") for item in summary[3].split(", "))}
+    per_check = {k: int(n) for k, n in (item.split("=") for item in summary[2].split(", "))}
     assert total > 20
-    assert int(summary[2]) == 2 * (400 - 5)
     assert set(per_check) <= {"LB1", "LB2", "UB", "MEMBERSHIP"}
     assert sum(per_check.values()) == total
 
