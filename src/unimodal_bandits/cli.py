@@ -11,7 +11,6 @@ import sys
 
 from .errors import ConfigError, ParameterError
 from .runner import (
-    ViolationTally,
     check_trace_dir,
     emit_outputs,
     load_config,
@@ -110,8 +109,8 @@ def _cmd_theory(args):
 
 def _cmd_check(args):
     violations, checked = check_trace_dir(args.trace_dir)
-    if violations:
-        _print_violations(ViolationTally.of(violations))
+    if violations.count:
+        _print_violations(violations)
         return 2
     print(f"OK: {checked} records checked, no violations")
     return 0

@@ -64,16 +64,6 @@ class UnimodalGraph:
     def __repr__(self):
         return f"UnimodalGraph(arm_count={self.arm_count}, edges={sorted(self.edges)})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnimodalGraph)
-            and self.arm_count == other.arm_count
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.arm_count, self.edges))
-
 
 def line_graph(n):
     """Path graph 0-1-...-(n-1)."""

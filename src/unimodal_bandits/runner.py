@@ -134,13 +134,19 @@ def log_grid(horizon, points=DEFAULT_GRID_POINTS):
     return tuple(out)
 
 
+def _is(val, types):
+    """isinstance(val, types), except that a boolean is only a bool: JSON's
+    true is no number, though Python counts it as the int 1."""
+    return isinstance(val, types) and (types is bool or not isinstance(val, bool))
+
+
 def _want(data, key, types, path, default=None, required=False):
     val = data.get(key)
     if val is None:
         if required:
             raise ConfigError(f"{path}{key}: missing required field")
         return default
-    if types is not None and not isinstance(val, types):
+    if not _is(val, types):
         raise ConfigError(f"{path}{key}: expected {types}, got {type(val).__name__}")
     return val
 
@@ -163,10 +169,10 @@ def _parse_policy(entry, path):
     if name.lower() not in known:
         raise ConfigError(f"{path}.name: unknown policy {name!r} (choose from {sorted(known)})")
     gamma = entry.get("gamma")
-    if gamma is not None and (not isinstance(gamma, int) or isinstance(gamma, bool) or gamma < 0):
+    if gamma is not None and (not _is(gamma, int) or gamma < 0):
         raise ConfigError(f"{path}.gamma: must be a nonnegative integer")
     c = entry.get("c", 0.0)
-    if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
+    if not _is(c, (int, float)) or not math.isfinite(c):
         raise ConfigError(f"{path}.c: must be a finite number")
     label = entry.get("label", "")
     if not isinstance(label, str) or (label and not _LABEL.fullmatch(label)):
@@ -189,8 +195,6 @@ def parse_config(data):
         fam = {"kind": fam}
     kind = _want(fam, "kind", str, "family.", required=True)
     variance = _want(fam, "variance", (int, float), "family.")
-    if isinstance(variance, bool):
-        raise ConfigError("family.variance: must be a number")
     family = _at("family.kind", make_family, kind)
     if variance is not None:
         variance = float(variance)
@@ -200,7 +204,7 @@ def parse_config(data):
     if len(means) < 2:
         raise ConfigError("means: need at least 2 arms")
     for i, m in enumerate(means):
-        if not isinstance(m, (int, float)) or isinstance(m, bool):
+        if not _is(m, (int, float)):
             raise ConfigError(f"means[{i}]: must be a number")
     means = tuple(float(m) for m in means)
 
@@ -218,7 +222,7 @@ def parse_config(data):
             if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise ConfigError(f"graph.edges[{i}]: expected a pair of arm indices")
             a, b = e
-            if not isinstance(a, int) or not isinstance(b, int):
+            if not _is(a, int) or not _is(b, int):
                 raise ConfigError(f"graph.edges[{i}]: arm indices must be integers")
             edges.append((min(a, b), max(a, b)))
         graph_kind, graph_edges = "edges", tuple(sorted(set(edges)))
@@ -244,13 +248,13 @@ def parse_config(data):
     policies = tuple(labeled.values())
 
     horizon = _want(data, "horizon", int, "", required=True)
-    if isinstance(horizon, bool) or horizon < len(means):
+    if horizon < len(means):
         raise ConfigError(f"horizon: must be an integer >= arm count {len(means)}")
     runs = _want(data, "runs", int, "", default=1)
-    if isinstance(runs, bool) or runs < 1:
+    if runs < 1:
         raise ConfigError("runs: must be an integer >= 1")
     seed = _want(data, "seed", int, "", default=0)
-    if isinstance(seed, bool) or seed < 0:
+    if seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
 
     grid_raw = _want(data, "grid", (list, dict), "")
@@ -258,14 +262,14 @@ def parse_config(data):
         grid = log_grid(horizon)
     elif isinstance(grid_raw, dict):
         points = _want(grid_raw, "points", int, "grid.", default=DEFAULT_GRID_POINTS)
-        if isinstance(points, bool) or points < 1:
+        if points < 1:
             raise ConfigError("grid.points: must be an integer >= 1")
         grid = log_grid(horizon, points)
     else:
         grid = []
         prev = 0
         for i, p in enumerate(grid_raw):
-            if not isinstance(p, int) or isinstance(p, bool) or not (1 <= p <= horizon):
+            if not _is(p, int) or not (1 <= p <= horizon):
                 raise ConfigError(f"grid[{i}]: must be an integer in [1, horizon]")
             if p <= prev:
                 raise ConfigError(f"grid[{i}]: grid must be strictly increasing")
@@ -278,7 +282,7 @@ def parse_config(data):
     traces = _want(data, "traces", bool, "", default=False)
     out_dir = _want(data, "out", str, "", default="out")
     workers = _want(data, "workers", int, "", default=1)
-    if isinstance(workers, bool) or workers < 1:
+    if workers < 1:
         raise ConfigError("workers: must be an integer >= 1")
 
     BanditConfig(family, means, graph)
@@ -531,29 +535,34 @@ class ViolationTally:
         self.first.extend(other.first[: _VIOLATION_SAMPLE_CAP - len(self.first)])
 
 
+def _trace_cell(spec, run_idx):
+    """(file name, header, run id) of the trace of policy spec's run
+    run_idx: run writes and audits it under these, check finds and
+    audits it under them."""
+    label = spec.display()
+    return (
+        f"{label}__run{run_idx:05d}.jsonl",
+        {"policy": label, "rule": spec.name, "run": run_idx},
+        f"{label}/run{run_idx}",
+    )
+
+
 def _run_pair(cfg, bandit, policy_idx, run_idx, check):
     """(regret at the grid times, final counts, ViolationTally) of one
     (policy, run) cell."""
     spec = cfg.policies[policy_idx]
-    label = spec.display()
     actions, rewards = simulate_policy_run(
         bandit, spec, seed_sequence(cfg.seed, run_idx, policy_idx), cfg.horizon
     )
     regret, counts = grid_regret(bandit, actions, cfg.grid)
+    name, header, run_id = _trace_cell(spec, run_idx)
     if cfg.traces:
-        write_trace(
-            Path(cfg.out_dir) / "traces" / f"{label}__run{run_idx:05d}.jsonl",
-            {"policy": label, "rule": spec.name, "run": run_idx},
-            actions,
-            rewards,
-        )
+        write_trace(Path(cfg.out_dir) / "traces" / name, header, actions, rewards)
     violations = []
     # the per-step inequalities are guarantees of the structured
     # minimum-index rule only; baselines do not promise them
     if check and spec.name == "imed-ub":
-        violations = check_log(
-            actions, rewards, bandit.graph, bandit.family, f"{label}/run{run_idx}"
-        )
+        violations = check_log(actions, rewards, bandit.graph, bandit.family, run_id)
     return regret, counts, ViolationTally.of(violations)
 
 
@@ -732,66 +741,12 @@ def write_trace(path, meta, actions, rewards):
         fh.writelines(f"[{arm},{reward!r}]\n" for arm, reward in zip(actions, rewards))
 
 
-def _bulk_rows(fh, arm_count, family):
-    """The pull log (actions, rewards) of the rest of the open trace file
-    fh, written as write_trace writes it and valid as read_trace requires,
-    decoded and validated in one pass; None for any other body.
-
-    The body is decoded in chunks of whole lines, about _READ_CHUNK
-    characters each, one json.loads per chunk, so the text held at once
-    is one chunk's. Every line must be one [arm,reward] row: it starts
-    with "[", ends with "]" and holds no other bracket, so line i decodes
-    as row i. Lines that form rows only once joined, such as "[1,0.5],[2"
-    and "0.5]", are not accepted.
-    """
-    actions, rewards = [], []
-    while chunk := fh.read(_READ_CHUNK):
-        chunk += fh.readline()
-        core = chunk[:-1] if chunk.endswith("\n") else chunk
-        lines = core.count("\n") + 1
-        if not (
-            core.startswith("[")
-            and core.endswith("]")
-            and core.count("[") == core.count("]") == lines == core.count("]\n[") + 1
-        ):
-            return None
-        try:
-            rows = json.loads("[" + core.replace("\n", ",") + "]")
-            if len(rows) != lines or set(map(len, rows)) != {2}:
-                return None
-        except (ValueError, TypeError):
-            return None
-        arms, values = zip(*rows)
-        if set(map(type, arms)) != {int} or not set(map(type, values)) <= {float, int}:
-            return None
-        try:
-            a = np.array(arms, dtype=np.int64)
-            v = np.array(values, dtype=np.float64)
-        except OverflowError:
-            return None
-        done = len(actions)
-        init = a[: max(arm_count - done, 0)]
-        if not (
-            (init == np.arange(done, done + len(init))).all()
-            and 0 <= a.min()
-            and a.max() < arm_count
-            and np.isfinite(v).all()
-            and family.mean_lo <= v.min()
-            and v.max() <= family.mean_hi
-        ):
-            return None
-        actions.extend(arms)
-        rewards.extend(v.tolist())
-    return (actions, rewards) if len(actions) >= arm_count else None
-
-
-def _read_rows(lines, path, arm_count, family):
-    """The pull log (actions, rewards) of a trace body read line by line
-    from lines, the file's second line first; a ConfigError names the
-    first line read_trace does not accept."""
-    actions = []
-    rewards = []
-    for lineno, line in enumerate(lines, start=2):
+def _scan_rows(lines, lineno, done, path, arm_count, family):
+    """The pull log (arms, rewards) of lines, the trace's lines from line
+    lineno on, after done pulls, checked row by row; a ConfigError names
+    the first line read_trace does not accept."""
+    arms, rewards = [], []
+    for lineno, line in enumerate(lines, start=lineno):
         try:
             arm, reward = json.loads(line)
             ok = (
@@ -809,17 +764,15 @@ def _read_rows(lines, path, arm_count, family):
                 f"[0, {arm_count}) and a reward in [{family.mean_lo}, "
                 f"{family.mean_hi}], got {line.strip()[:60]!r}"
             )
-        if len(actions) < arm_count and arm != len(actions):
+        pull = done + len(arms)
+        if pull < arm_count and arm != pull:
             raise ConfigError(
-                f"{path}:{lineno}: pull {len(actions)} must be the initialization "
-                f"pull of arm {len(actions)}, got arm {arm}"
+                f"{path}:{lineno}: pull {pull} must be the initialization "
+                f"pull of arm {pull}, got arm {arm}"
             )
-        actions.append(arm)
+        arms.append(arm)
         rewards.append(float(reward))
-    if len(actions) < arm_count:
-        n = len(actions)
-        raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
-    return actions, rewards
+    return arms, rewards
 
 
 def read_trace(path, arm_count, family):
@@ -830,10 +783,16 @@ def read_trace(path, arm_count, family):
     [arm, reward] with an integer arm in [0, arm_count) and a finite real
     reward in the family's closed mean domain, and the first arm_count
     pulls the forced initialization 0, 1, ..., arm_count - 1. Anything
-    else is a ConfigError naming the file and line. A body as write_trace
-    writes it is decoded and validated in one pass; any other body is
-    read line by line, which accepts the same rows and names the first
-    bad line.
+    else is a ConfigError naming the file and line.
+
+    The body is read in chunks of whole lines, about _READ_CHUNK
+    characters each, so the text held at once is one chunk's. A chunk
+    whose every line is one [arm,reward] row, as write_trace writes it
+    (it starts with "[", ends with "]" and holds no other bracket), is
+    decoded with one json.loads; any other chunk line by line. Each
+    chunk's rows are validated together with numpy, and only a chunk
+    that fails is checked row by row (_scan_rows), to name its first bad
+    line.
     """
     # undecodable bytes turn into U+FFFD and fail the row checks
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -843,12 +802,55 @@ def read_trace(path, arm_count, family):
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError(f"{path}:1: header is not a JSON object")
-        start = fh.tell()
-        log = _bulk_rows(fh, arm_count, family)
-        if log is None:
-            fh.seek(start)
-            log = _read_rows(fh, path, arm_count, family)
-    return (meta, *log)
+        actions, rewards = [], []
+        lineno = 2
+        while chunk := fh.read(_READ_CHUNK):
+            chunk += fh.readline()
+            core = chunk.removesuffix("\n")
+            lines = core.count("\n") + 1
+            done = len(actions)
+            try:
+                if (
+                    core.startswith("[")
+                    and core.endswith("]")
+                    and core.count("[") == core.count("]") == lines == core.count("]\n[") + 1
+                ):
+                    rows = json.loads("[" + core.replace("\n", ",") + "]")
+                else:
+                    rows = [json.loads(line) for line in core.split("\n")]
+                arms, values = zip(*rows)
+                ok = (
+                    len(rows) == lines
+                    and set(map(len, rows)) == {2}
+                    and set(map(type, arms)) == {int}
+                    and set(map(type, values)) <= {float, int}
+                )
+                if ok:
+                    a = np.array(arms, dtype=np.int64)
+                    v = np.array(values, dtype=np.float64)
+                    init = a[: max(arm_count - done, 0)]
+                    ok = (
+                        (init == np.arange(done, done + len(init))).all()
+                        and 0 <= a.min()
+                        and a.max() < arm_count
+                        and np.isfinite(v).all()
+                        and family.mean_lo <= v.min()
+                        and v.max() <= family.mean_hi
+                    )
+                    values = v.tolist()
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                arms, values = _scan_rows(
+                    core.split("\n"), lineno, done, path, arm_count, family
+                )
+            actions.extend(arms)
+            rewards.extend(values)
+            lineno += lines
+    if len(actions) < arm_count:
+        n = len(actions)
+        raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
+    return meta, actions, rewards
 
 
 def check_trace_dir(path):
@@ -862,7 +864,8 @@ def check_trace_dir(path):
     header's: every imed-ub trace is audited by check_log, the other
     rules' traces are read but not checked, as the per-step inequalities
     are guarantees of the structured minimum-index rule only. Returns the
-    violation list and the number of pulls checked.
+    ViolationTally, added in (policy, run) order as run_experiment adds
+    it, and the number of pulls checked.
     """
     root = Path(path)
     config_path = root / "config.json"
@@ -881,27 +884,25 @@ def check_trace_dir(path):
         raise ConfigError(f"{trace_dir}: no trace files (*.jsonl) found")
     if all(spec.name != "imed-ub" for spec in cfg.policies):
         raise ConfigError(f"{trace_dir}: no imed-ub traces to check")
-    headers = {
-        f"{spec.display()}__run{run:05d}.jsonl": {
-            "policy": spec.display(), "rule": spec.name, "run": run
-        }
-        for spec in cfg.policies
-        for run in range(cfg.runs)
-    }
-    extra = sorted(found - headers.keys())
+    cells = {}
+    for spec in cfg.policies:
+        for run in range(cfg.runs):
+            name, header, run_id = _trace_cell(spec, run)
+            cells[name] = header, run_id
+    extra = sorted(found - cells.keys())
     if extra:
         raise ConfigError(
             f"{trace_dir / extra[0]}: not the trace of a policy label and run in config.json"
         )
-    missing = [name for name in headers if name not in found]
+    missing = [name for name in cells if name not in found]
     if missing:
         raise ConfigError(
             f"{trace_dir / missing[0]}: missing; config.json's policies and runs call for it"
         )
 
-    violations = []
+    violations = ViolationTally()
     checked = 0
-    for name, header in headers.items():
+    for name, (header, run_id) in cells.items():
         f = trace_dir / name
         meta, actions, rewards = read_trace(f, k, family)
         if meta != header:
@@ -912,6 +913,6 @@ def check_trace_dir(path):
                 f"but config.json's horizon is {cfg.horizon}"
             )
         if header["rule"] == "imed-ub":
-            violations.extend(check_log(actions, rewards, graph, family, run_id=f.stem))
+            violations.add(ViolationTally.of(check_log(actions, rewards, graph, family, run_id)))
             checked += len(actions) - k
     return violations, checked

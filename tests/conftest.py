@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
 import math
 from itertools import islice
 
@@ -9,6 +10,7 @@ import pytest
 from unimodal_bandits import (
     BanditConfig,
     Bernoulli,
+    ConfigError,
     Exponential,
     Gaussian,
     PullStats,
@@ -75,6 +77,50 @@ def replay_check_log(actions, rewards, graph, family, run_id=""):
         out.extend(check_step(stats, arm, graph, family, run_id))
         stats.record(arm, reward)
     return out
+
+
+def read_trace_by_line(path, arm_count, family):
+    """Reference reader for runner.read_trace: the header, then every body
+    line decoded and checked on its own, in order; a ConfigError names the
+    first line not accepted, with read_trace's message."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        try:
+            meta = json.loads(fh.readline())
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path}:1: header is not a JSON object")
+        actions = []
+        rewards = []
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                arm, reward = json.loads(line)
+                ok = (
+                    type(arm) is int
+                    and 0 <= arm < arm_count
+                    and type(reward) in (float, int)
+                    and math.isfinite(reward)
+                    and family.mean_lo <= reward <= family.mean_hi
+                )
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected [arm, reward] with an integer arm in "
+                    f"[0, {arm_count}) and a reward in [{family.mean_lo}, "
+                    f"{family.mean_hi}], got {line.strip()[:60]!r}"
+                )
+            if len(actions) < arm_count and arm != len(actions):
+                raise ConfigError(
+                    f"{path}:{lineno}: pull {len(actions)} must be the initialization "
+                    f"pull of arm {len(actions)}, got arm {arm}"
+                )
+            actions.append(arm)
+            rewards.append(float(reward))
+    if len(actions) < arm_count:
+        n = len(actions)
+        raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
+    return meta, actions, rewards
 
 
 def make_stats(counts, means):

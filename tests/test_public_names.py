@@ -1,6 +1,6 @@
 """Tooling test: every public name of the package is used by the package
-itself, so public API that nothing in it calls gets deleted rather than
-kept."""
+itself, and so is every module-level private name, so code that nothing
+in it calls gets deleted rather than kept."""
 
 import ast
 from pathlib import Path
@@ -8,27 +8,54 @@ from pathlib import Path
 import unimodal_bandits
 
 PACKAGE = Path(unimodal_bandits.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def used_names(path):
-    """Names a module reads, as bare names or as attributes; definitions
-    and imports do not count."""
+    """Names a module reads, as bare names or as attributes; definitions,
+    assignments and imports do not count."""
     out = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
     return out
 
 
+def private_definitions(path):
+    """Private functions, classes and constants a module defines at its top
+    level; dunders such as __all__ are read by Python, not the package."""
+    out = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in out if name.startswith("_") and not name.endswith("__")}
+
+
 def unused_public_names():
     used = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in MODULES:
         if path.name != "__init__.py":
             used |= used_names(path)
     return sorted(set(unimodal_bandits.__all__) - used)
 
 
+def unused_private_names():
+    used = set().union(*map(used_names, MODULES))
+    return sorted(
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in private_definitions(path) - used
+    )
+
+
 def test_every_public_name_is_used_in_the_package():
     assert unused_public_names() == []
+
+
+def test_every_private_module_level_name_is_used_in_the_package():
+    assert unused_private_names() == []

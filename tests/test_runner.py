@@ -13,6 +13,7 @@ import tempfile
 from collections import Counter
 from hashlib import sha256
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from unimodal_bandits.cli import main as cli_main
 from unimodal_bandits.policies import PolicySpec
 from unimodal_bandits.runner import write_config, write_trace
 
-from conftest import HILL_MEANS
+from conftest import HILL_MEANS, read_trace_by_line
 
 
 def hill_config(**overrides):
@@ -131,7 +132,6 @@ def test_parse_config_field_errors():
         ({"family": "poisson"}, "family.kind: unknown family kind 'poisson'"),
         ({"family": {**gaussian, "variance": float("nan")}}, "family.variance: "),
         ({"family": {**gaussian, "variance": -1.0}}, "family.variance: "),
-        ({"family": {**gaussian, "variance": True}}, "family.variance: "),
         ({"family": {"kind": "bernoulli", "variance": 1.0}}, "family.variance: "),
         ({"means": [0.1, "x"]}, "means[1]: "),
         ({"means": [0.3, 0.1, 0.3]}, "means: not unimodal"),
@@ -151,6 +151,31 @@ def test_parse_config_field_errors():
         with pytest.raises(ConfigError) as err:
             parse_config({**base, **change})
         assert str(err.value).startswith(prefix), (change, str(err.value))
+
+
+BOOLEAN_FIELDS = {
+    "family.variance": {"family": {"kind": "gaussian", "variance": True}},
+    "means[0]": {"means": [True, 0.2, 0.1]},
+    "graph.edges[0]": {"graph": {"type": "edges", "edges": [[0, True], [True, 2]]}},
+    "policies[0].gamma": {"policies": [{"name": "osub", "gamma": True}]},
+    "policies[0].c": {"policies": [{"name": "osub", "c": True}]},
+    "horizon": {"horizon": True},
+    "runs": {"runs": True},
+    "seed": {"seed": True},
+    "grid[0]": {"grid": [True, 5]},
+    "grid.points": {"grid": {"points": True}},
+    "workers": {"workers": True},
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_FIELDS))
+def test_parse_config_refuses_booleans(field):
+    # JSON's true is no number, though Python counts it as the int 1: every
+    # integer or number field refuses it, naming its path
+    base = {"family": "bernoulli", "means": [0.1, 0.2, 0.1], "policies": ["imed"], "horizon": 5}
+    with pytest.raises(ConfigError) as err:
+        parse_config({**base, **BOOLEAN_FIELDS[field]})
+    assert str(err.value).startswith(f"{field}: "), str(err.value)
 
 
 def test_parse_config_edge_graph_and_duplicate_labels():
@@ -345,7 +370,8 @@ def test_trace_replay_reproduces_statistics(tmp_path):
 def test_check_trace_dir_clean(tmp_path):
     trace_run(tmp_path)
     violations, checked = check_trace_dir(tmp_path)
-    assert violations == []
+    assert violations.count == 0
+    assert violations.first == []
     assert checked == 2 * (120 - 9)
 
 
@@ -360,7 +386,7 @@ def test_checks_apply_only_to_the_structured_rule(tmp_path):
     assert curves.violations.count == 0
     write_config(cfg, cfg.out_dir)
     violations, checked = check_trace_dir(tmp_path)
-    assert violations == []
+    assert violations.count == 0
     assert checked == 200 - 9  # one imed-ub run; baseline traces skipped
 
 
@@ -411,8 +437,9 @@ def test_check_trace_dir_flags_doctored_file(tmp_path):
     victim = sorted((tmp_path / "traces").glob("*.jsonl"))[0]
     doctor_first_exploration_row(victim)
     violations, _ = check_trace_dir(tmp_path)
-    assert violations
-    assert any(v.check == "MEMBERSHIP" for v in violations)
+    assert violations.per_check["MEMBERSHIP"] > 0
+    assert violations.count == sum(violations.per_check.values())
+    assert violations.first[0].run_id == "imed-ub/run0"
 
 
 # ---------------------------------------------------------------------------
@@ -502,24 +529,13 @@ def test_cli_check_rejects_malformed_trace(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {victim}:")
 
 
-def read_both_ways(monkeypatch, path, arm_count, family):
-    """read_trace's outcome on path, ("log", (header, actions, rewards))
-    or ("error", message), once as it reads and once with the bulk
-    decoder turned off, and whether the bulk decoder accepted the body."""
-    def outcome():
-        try:
-            return "log", read_trace(path, arm_count, family)
-        except ConfigError as exc:
-            return "error", str(exc)
-
-    decoded = []
-    bulk = runner._bulk_rows
-    with monkeypatch.context() as patch:
-        patch.setattr(runner, "_bulk_rows", lambda *args: decoded.append(bulk(*args)) or decoded[-1])
-        got = outcome()
-        patch.setattr(runner, "_bulk_rows", lambda *args: None)
-        by_line = outcome()
-    return got, by_line, bool(decoded) and decoded[0] is not None
+def read_outcome(reader, path, arm_count, family):
+    """reader's outcome on path: ("log", (header, actions, rewards)) or
+    ("error", message)."""
+    try:
+        return "log", reader(path, arm_count, family)
+    except ConfigError as exc:
+        return "error", str(exc)
 
 
 def regroup_rows(lines):
@@ -530,8 +546,14 @@ def regroup_rows(lines):
     return lines[:12] + [first + "," + second[:cut], second[cut + 1:]] + lines[14:]
 
 
+def space_rows(lines, lo, hi):
+    """Rows lo to hi padded with spaces: valid rows, but not as write_trace
+    writes them, so a chunk holding one is decoded line by line."""
+    return lines[:lo] + [f" {line} " for line in lines[lo:hi]] + lines[hi:]
+
+
 # trace texts of a clean body's lines; with DOCTORED_TRACES, the inputs on
-# which both trace readers must agree
+# which read_trace must agree with the line-by-line reader
 TRACE_TEXTS = {
     **{case: lambda lines, edit=edit: "\n".join(edit(lines)) + "\n"
        for case, edit in DOCTORED_TRACES.items()},
@@ -541,15 +563,17 @@ TRACE_TEXTS = {
     "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
     "no-final-newline": lambda lines: "\n".join(lines),
     "spaced": lambda lines: "\n".join(lines).replace(",", ", ") + "\n",
+    "spaced-middle": lambda lines: "\n".join(space_rows(lines, 60, 90)) + "\n",
+    "bad-row-late": lambda lines: "\n".join(lines[:120] + ["[99,0.0]"] + lines[121:]) + "\n",
 }
-BULK_DECODED = {"clean", "crlf", "no-final-newline", "spaced", "cut-short", "overlong"}
+ACCEPTED = {"clean", "crlf", "no-final-newline", "spaced", "spaced-middle", "cut-short", "overlong"}
 
 
 @pytest.mark.parametrize("chunk", [16, runner._READ_CHUNK])
 @pytest.mark.parametrize("case", sorted(TRACE_TEXTS))
 def test_bulk_trace_reader_agrees_with_line_reader(tmp_path, monkeypatch, case, chunk):
-    # the bulk decoder accepts only what the line-by-line reader accepts,
-    # with the same log, and leaves every error message to it; 16-character
+    # read_trace accepts what the line-by-line reader accepts, with the
+    # same log, and rejects the rest with the same message; 16-character
     # chunks put a chunk boundary after nearly every line
     monkeypatch.setattr(runner, "_READ_CHUNK", chunk)
     bandit = BanditConfig(Bernoulli(), HILL_MEANS, line_graph(9))
@@ -560,12 +584,64 @@ def test_bulk_trace_reader_agrees_with_line_reader(tmp_path, monkeypatch, case, 
     write_trace(path, {"run": 0}, actions, rewards)
     lines = path.read_text().splitlines()
     path.write_bytes(TRACE_TEXTS[case](lines).encode())
-    got, by_line, decoded = read_both_ways(monkeypatch, path, 9, bandit.family)
-    assert got == by_line
-    assert decoded == (case in BULK_DECODED)
-    assert got[0] == ("log" if case in BULK_DECODED else "error")
+    got = read_outcome(read_trace, path, 9, bandit.family)
+    assert got == read_outcome(read_trace_by_line, path, 9, bandit.family)
+    assert got[0] == ("log" if case in ACCEPTED else "error")
     if case == "clean":
         assert got[1] == ({"run": 0}, actions, rewards)
+
+
+def long_trace(path, rows):
+    """A synthetic 9-arm Bernoulli trace of rows pulls; its lines."""
+    rng = np.random.default_rng(3)
+    actions = list(range(9)) + rng.integers(0, 9, rows - 9).tolist()
+    write_trace(path, {"run": 0}, actions, rng.random(rows).tolist())
+    return path.read_text().splitlines()
+
+
+# edits of a long trace's lines: rows 3500-4500 spaced, and row 5000, on
+# line 5002, out of Bernoulli's domain
+LONG_TRACE_EDITS = {
+    "spaced-middle-chunk": lambda lines: space_rows(lines, 3501, 4501),
+    "bad-row-past-first-chunk": lambda lines: lines[:5001] + ["[3,2.0]"] + lines[5002:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_TRACE_EDITS))
+def test_trace_reader_across_chunks(tmp_path, case):
+    # 8000 rows of about 22 characters fill three chunks, and both edits
+    # lie in the second: it alone is decoded line by line, or it names its
+    # bad line by a count carried over the first chunk
+    path = tmp_path / "run.jsonl"
+    lines = long_trace(path, 8000)
+    assert len(path.read_text()) > 2 * runner._READ_CHUNK
+    path.write_text("\n".join(LONG_TRACE_EDITS[case](lines)) + "\n")
+    got = read_outcome(read_trace, path, 9, Bernoulli())
+    assert got == read_outcome(read_trace_by_line, path, 9, Bernoulli())
+    if case == "spaced-middle-chunk":
+        assert got[0] == "log" and len(got[1][1]) == 8000
+    else:
+        assert got[1].startswith(f"{path}:5002: expected [arm, reward]")
+
+
+@pytest.mark.parametrize("chunk", [1024, runner._READ_CHUNK])
+def test_write_trace_output_is_decoded_one_chunk_at_a_time(tmp_path, monkeypatch, chunk):
+    # a body as write_trace writes it costs one json.loads per chunk of
+    # about chunk characters, plus one for the header, not one per line
+    monkeypatch.setattr(runner, "_READ_CHUNK", chunk)
+    path = tmp_path / "run.jsonl"
+    lines = long_trace(path, 8000)
+    calls = []
+
+    def loads(text):
+        calls.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(runner, "json", SimpleNamespace(loads=loads))
+    meta, actions, rewards = read_trace(path, 9, Bernoulli())
+    body = len(path.read_text()) - len(lines[0]) - 1
+    assert len(actions) == 8000
+    assert 2 <= len(calls) <= 1 + math.ceil(body / chunk)
 
 
 @pytest.mark.parametrize(
@@ -577,12 +653,12 @@ def test_bulk_trace_reader_agrees_with_line_reader(tmp_path, monkeypatch, case, 
     ],
     ids=lambda x: getattr(x, "name", ""),
 )
-def test_trace_round_trip_is_bit_exact(tmp_path, monkeypatch, family, rewards):
+def test_trace_round_trip_is_bit_exact(tmp_path, family, rewards):
     actions = [i % 3 for i in range(len(rewards))]
     path = tmp_path / "run.jsonl"
     write_trace(path, {"run": 0}, actions, rewards)
-    got, by_line, decoded = read_both_ways(monkeypatch, path, 3, family)
-    assert decoded and got == by_line
+    got = read_outcome(read_trace, path, 3, family)
+    assert got == read_outcome(read_trace_by_line, path, 3, family)
     _, (meta, read_actions, read_rewards) = got
     assert read_actions == actions
     assert [r.hex() for r in read_rewards] == [r.hex() for r in rewards]
@@ -607,12 +683,9 @@ def test_cli_run_and_check_print_twenty_violations_and_counts_per_check(
     out = capsys.readouterr()
     printed = out.out.splitlines()
     assert len(printed) == 20
-    assert all(line.startswith("VIOLATION ") for line in printed)
-    # run names a run by label and index, check by its trace file
-    ran_printed = [line for line in ran.out.splitlines() if line.startswith("VIOLATION ")]
-    assert [line.split(" ", 2)[2] for line in ran_printed] == [
-        line.split(" ", 2)[2] for line in printed
-    ]
+    assert all(line.startswith("VIOLATION run=imed-ub/run") for line in printed)
+    # both commands name a run by its label and index
+    assert [line for line in ran.out.splitlines() if line.startswith("VIOLATION ")] == printed
     assert ran.err == out.err
     summary = re.fullmatch(
         r"(\d+) invariant violations, the first 20 printed; per check: (.+)\n", out.err
