@@ -36,6 +36,8 @@ _AUDIT_BLOCK = 1024
 _GUARD = 1.5e-14
 # characters of trace body read_trace decodes with one json.loads
 _READ_CHUNK = 1 << 16
+# the one rule whose pull logs run --check-invariants and check audit
+_AUDITED_RULE = "imed-ub"
 # labels name CSV rows and trace files, so they carry no separators
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -314,7 +316,7 @@ def load_config(path, overrides=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if overrides and isinstance(data, dict):
         horizon = overrides.get("horizon", data.get("horizon"))
@@ -547,6 +549,17 @@ def _trace_cell(spec, run_idx):
     )
 
 
+def _audit(rule, actions, rewards, graph, family, run_id):
+    """(ViolationTally, pulls checked) of one run's pull log under rule.
+    The per-step inequalities are guarantees of the structured
+    minimum-index rule only; a baseline's log is not audited and checks
+    no pull."""
+    if rule != _AUDITED_RULE:
+        return ViolationTally(), 0
+    tally = ViolationTally.of(check_log(actions, rewards, graph, family, run_id))
+    return tally, len(actions) - graph.arm_count
+
+
 def _run_pair(cfg, bandit, policy_idx, run_idx, check):
     """(regret at the grid times, final counts, ViolationTally) of one
     (policy, run) cell."""
@@ -558,12 +571,10 @@ def _run_pair(cfg, bandit, policy_idx, run_idx, check):
     name, header, run_id = _trace_cell(spec, run_idx)
     if cfg.traces:
         write_trace(Path(cfg.out_dir) / "traces" / name, header, actions, rewards)
-    violations = []
-    # the per-step inequalities are guarantees of the structured
-    # minimum-index rule only; baselines do not promise them
-    if check and spec.name == "imed-ub":
-        violations = check_log(actions, rewards, bandit.graph, bandit.family, run_id)
-    return regret, counts, ViolationTally.of(violations)
+    violations = ViolationTally()
+    if check:
+        violations, _ = _audit(spec.name, actions, rewards, bandit.graph, bandit.family, run_id)
+    return regret, counts, violations
 
 
 @dataclass
@@ -756,7 +767,7 @@ def _scan_rows(lines, lineno, done, path, arm_count, family):
                 and math.isfinite(reward)
                 and family.mean_lo <= reward <= family.mean_hi
             )
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, RecursionError):
             ok = False
         if not ok:
             raise ConfigError(
@@ -789,16 +800,15 @@ def read_trace(path, arm_count, family):
     characters each, so the text held at once is one chunk's. A chunk
     whose every line is one [arm,reward] row, as write_trace writes it
     (it starts with "[", ends with "]" and holds no other bracket), is
-    decoded with one json.loads; any other chunk line by line. Each
-    chunk's rows are validated together with numpy, and only a chunk
-    that fails is checked row by row (_scan_rows), to name its first bad
-    line.
+    decoded with one json.loads and its rows validated together with
+    numpy. Any other chunk, and one that fails that check, is decoded
+    and checked row by row (_scan_rows), which names its first bad line.
     """
     # undecodable bytes turn into U+FFFD and fail the row checks
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             meta = json.loads(fh.readline())
-        except ValueError:
+        except (ValueError, RecursionError):
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError(f"{path}:1: header is not a JSON object")
@@ -809,37 +819,36 @@ def read_trace(path, arm_count, family):
             core = chunk.removesuffix("\n")
             lines = core.count("\n") + 1
             done = len(actions)
-            try:
-                if (
-                    core.startswith("[")
-                    and core.endswith("]")
-                    and core.count("[") == core.count("]") == lines == core.count("]\n[") + 1
-                ):
+            ok = (
+                core.startswith("[")
+                and core.endswith("]")
+                and core.count("[") == core.count("]") == lines == core.count("]\n[") + 1
+            )
+            if ok:
+                try:
                     rows = json.loads("[" + core.replace("\n", ",") + "]")
-                else:
-                    rows = [json.loads(line) for line in core.split("\n")]
-                arms, values = zip(*rows)
-                ok = (
-                    len(rows) == lines
-                    and set(map(len, rows)) == {2}
-                    and set(map(type, arms)) == {int}
-                    and set(map(type, values)) <= {float, int}
-                )
-                if ok:
-                    a = np.array(arms, dtype=np.int64)
-                    v = np.array(values, dtype=np.float64)
-                    init = a[: max(arm_count - done, 0)]
+                    arms, values = zip(*rows)
                     ok = (
-                        (init == np.arange(done, done + len(init))).all()
-                        and 0 <= a.min()
-                        and a.max() < arm_count
-                        and np.isfinite(v).all()
-                        and family.mean_lo <= v.min()
-                        and v.max() <= family.mean_hi
+                        len(rows) == lines
+                        and set(map(len, rows)) == {2}
+                        and set(map(type, arms)) == {int}
+                        and set(map(type, values)) <= {float, int}
                     )
-                    values = v.tolist()
-            except (TypeError, ValueError, OverflowError):
-                ok = False
+                    if ok:
+                        a = np.array(arms, dtype=np.int64)
+                        v = np.array(values, dtype=np.float64)
+                        init = a[: max(arm_count - done, 0)]
+                        ok = (
+                            (init == np.arange(done, done + len(init))).all()
+                            and 0 <= a.min()
+                            and a.max() < arm_count
+                            and np.isfinite(v).all()
+                            and family.mean_lo <= v.min()
+                            and v.max() <= family.mean_hi
+                        )
+                        values = v.tolist()
+                except (TypeError, ValueError, OverflowError):
+                    ok = False
             if not ok:
                 arms, values = _scan_rows(
                     core.split("\n"), lineno, done, path, arm_count, family
@@ -861,11 +870,10 @@ def check_trace_dir(path):
     must be exactly one {label}__run{r:05d}.jsonl per policy label and run
     of the config, each with the header run writes for it and exactly the
     config's horizon of pulls. Each rule is the config's, never a
-    header's: every imed-ub trace is audited by check_log, the other
-    rules' traces are read but not checked, as the per-step inequalities
-    are guarantees of the structured minimum-index rule only. Returns the
-    ViolationTally, added in (policy, run) order as run_experiment adds
-    it, and the number of pulls checked.
+    header's: every imed-ub trace is audited (_audit), the other rules'
+    traces are read but not checked. Returns the ViolationTally, added in
+    (policy, run) order as run_experiment adds it, and the number of
+    pulls checked.
     """
     root = Path(path)
     config_path = root / "config.json"
@@ -876,13 +884,12 @@ def check_trace_dir(path):
     cfg = load_config(config_path)
     family = cfg.family()
     graph = cfg.graph()
-    k = graph.arm_count
 
     trace_dir = root / "traces" if (root / "traces").is_dir() else root
     found = {f.name for f in trace_dir.glob("*.jsonl")}
     if not found:
         raise ConfigError(f"{trace_dir}: no trace files (*.jsonl) found")
-    if all(spec.name != "imed-ub" for spec in cfg.policies):
+    if all(spec.name != _AUDITED_RULE for spec in cfg.policies):
         raise ConfigError(f"{trace_dir}: no imed-ub traces to check")
     cells = {}
     for spec in cfg.policies:
@@ -904,7 +911,7 @@ def check_trace_dir(path):
     checked = 0
     for name, (header, run_id) in cells.items():
         f = trace_dir / name
-        meta, actions, rewards = read_trace(f, k, family)
+        meta, actions, rewards = read_trace(f, graph.arm_count, family)
         if meta != header:
             raise ConfigError(f"{f}:1: header {meta} does not match config.json's {header}")
         if len(actions) != cfg.horizon:
@@ -912,7 +919,7 @@ def check_trace_dir(path):
                 f"{f}:{min(len(actions), cfg.horizon) + 2}: {len(actions)} pulls, "
                 f"but config.json's horizon is {cfg.horizon}"
             )
-        if header["rule"] == "imed-ub":
-            violations.add(ViolationTally.of(check_log(actions, rewards, graph, family, run_id)))
-            checked += len(actions) - k
+        tally, pulls = _audit(header["rule"], actions, rewards, graph, family, run_id)
+        violations.add(tally)
+        checked += pulls
     return violations, checked

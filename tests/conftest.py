@@ -86,7 +86,7 @@ def read_trace_by_line(path, arm_count, family):
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             meta = json.loads(fh.readline())
-        except ValueError:
+        except (ValueError, RecursionError):
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError(f"{path}:1: header is not a JSON object")
@@ -102,7 +102,7 @@ def read_trace_by_line(path, arm_count, family):
                     and math.isfinite(reward)
                     and family.mean_lo <= reward <= family.mean_hi
                 )
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError, OverflowError, RecursionError):
                 ok = False
             if not ok:
                 raise ConfigError(

@@ -495,6 +495,9 @@ def replace_row(row):
     return lambda lines: lines[:12] + [row] + lines[13:]
 
 
+# a JSON value nested too deeply for json.loads, which raises RecursionError
+NESTED = "[" * 100_000 + "]" * 100_000
+
 # doctored trace files: line 0 is the header, lines 1-9 the initialization
 DOCTORED_TRACES = {
     "garbage": lambda lines: lines + ["garbage"],
@@ -507,6 +510,8 @@ DOCTORED_TRACES = {
     "nan-reward": replace_row("[3,NaN]"),
     "init-order": lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
     "header": lambda lines: ["[1, 2]"] + lines[1:],
+    "nested-header": lambda lines: [NESTED] + lines[1:],
+    "nested-row": replace_row(NESTED),
     "truncated": lambda lines: lines[:5],
     "cut-short": lambda lines: lines[:61],
     "overlong": lambda lines: lines + lines[-1:],
@@ -848,6 +853,13 @@ def test_cli_overrides_exit_cleanly(runs, horizon, seed, workers, traces, grid):
 
 def test_cli_missing_config_file(tmp_path, capsys):
     assert cli_main(["theory", str(tmp_path / "nope.json")]) == 1
+
+
+def test_cli_rejects_deeply_nested_config(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED)
+    assert cli_main(["theory", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON (")
 
 
 # ---------------------------------------------------------------------------
