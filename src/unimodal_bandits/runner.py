@@ -316,7 +316,8 @@ def load_config(path, overrides=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        # ValueError: not JSON, or not UTF-8; RecursionError: nested too deeply
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if overrides and isinstance(data, dict):
         horizon = overrides.get("horizon", data.get("horizon"))

@@ -855,9 +855,12 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert cli_main(["theory", str(tmp_path / "nope.json")]) == 1
 
 
-def test_cli_rejects_deeply_nested_config(tmp_path, capsys):
-    path = tmp_path / "nested.json"
-    path.write_text(NESTED)
+@pytest.mark.parametrize(
+    "text", [NESTED.encode(), b'{"family": "\xff"}'], ids=["nested", "not-utf8"]
+)
+def test_cli_rejects_undecodable_config(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
     assert cli_main(["theory", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON (")
 
