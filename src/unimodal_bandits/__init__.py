@@ -16,7 +16,6 @@ from .policies import (
     Imed,
     ImedUB,
     Osub,
-    Policy,
     PolicySpec,
     Uts,
     make_policy,
@@ -55,7 +54,6 @@ __all__ = [
     "ImedUB",
     "Osub",
     "ParameterError",
-    "Policy",
     "PolicySpec",
     "PullStats",
     "RegretCurves",

@@ -8,6 +8,7 @@ violations found.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, ParameterError
 from .runner import (
@@ -65,6 +66,12 @@ def _cmd_run(args):
     if args.traces:
         overrides["traces"] = True
     cfg = load_config(args.config, overrides)
+    # an out that cannot be a directory fails here, not after the study
+    out = Path(cfg.out_dir)
+    try:
+        (out / "traces" if cfg.traces else out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from exc
 
     report = lower_bound_constant(cfg.bandit_config())
     curves = run_experiment(cfg, check_invariants=args.check_invariants)

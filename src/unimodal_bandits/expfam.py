@@ -2,9 +2,8 @@
 
 Three families are supported: Bernoulli, Gaussian with a known shared
 variance, and Exponential. Each provides exact Kullback-Leibler divergence
-between two members (parameterized by mean), reward sampling, a variance
-envelope over a mean interval, and the KL upper inverse used by
-confidence-bound style baselines.
+between two members (parameterized by mean), reward sampling, and the KL
+upper inverse used by confidence-bound style baselines.
 
 True means live in an open domain; empirical means can hit its boundary
 (a Bernoulli arm that has only produced zeros, say), so divergence and the
@@ -66,10 +65,6 @@ class Family:
         """size i.i.d. reward draws from the member with mean mu."""
         raise NotImplementedError
 
-    def variance_sup(self, lo, hi):
-        """Supremum of the member variance as the mean ranges over [lo, hi]."""
-        raise NotImplementedError
-
     def posterior_mean_sample(self, count, total, rng):
         """One posterior draw of the mean given count pulls summing to total.
 
@@ -77,12 +72,6 @@ class Family:
         prior; consumed by the Thompson-sampling baseline.
         """
         raise NotImplementedError
-
-    def _check_interval(self, lo, hi):
-        self.require_mean_closure(lo)
-        self.require_mean_closure(hi)
-        if lo > hi:
-            raise ParameterError(f"empty mean interval [{lo}, {hi}]")
 
     def _check_inverse_args(self, mu_hat, budget):
         if math.isnan(budget) or budget < 0.0:
@@ -191,13 +180,6 @@ class Bernoulli(Family):
         self.require_mean(mu)
         return (rng.random(size) < mu).astype(np.float64)
 
-    def variance_sup(self, lo, hi):
-        self._check_interval(lo, hi)
-        if lo <= 0.5 <= hi:
-            return 0.25
-        # variance is unimodal in the mean with peak at 1/2
-        return max(lo * (1.0 - lo), hi * (1.0 - hi))
-
     def posterior_mean_sample(self, count, total, rng):
         return rng.beta(1.0 + total, 1.0 + count - total)
 
@@ -239,10 +221,6 @@ class Gaussian(Family):
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return rng.normal(mu, self.sigma, size)
-
-    def variance_sup(self, lo, hi):
-        self._check_interval(lo, hi)
-        return self.sigma2
 
     def posterior_mean_sample(self, count, total, rng):
         return rng.normal(total / count, math.sqrt(self.sigma2 / count))
@@ -303,10 +281,6 @@ class Exponential(Family):
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return rng.exponential(mu, size)
-
-    def variance_sup(self, lo, hi):
-        self._check_interval(lo, hi)
-        return hi * hi
 
     def posterior_mean_sample(self, count, total, rng):
         # conjugate Gamma posterior on the rate; invert one rate draw

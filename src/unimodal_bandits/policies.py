@@ -52,25 +52,13 @@ def _argmax_lowest(stats):
     return lead
 
 
-class Policy:
-    """One decision rule on top of shared pull statistics."""
-
-    name = ""
-
-    def select(self, stats):
-        """The arm to pull next, given the pre-pull statistics."""
-        raise NotImplementedError
-
-
-class ImedUB(Policy):
+class ImedUB:
     """Minimum-index rule restricted to the leader and its graph neighbors.
 
     The leader is an empirically best arm with the fewest pulls (lowest
     index on remaining ties); each step pulls the index-minimizing arm
     among the leader and its neighborhood.
     """
-
-    name = "imed-ub"
 
     def __init__(self, family, graph):
         self.family = family
@@ -81,10 +69,8 @@ class ImedUB(Policy):
         return _index_argmin(stats, self.family, self._cands[lead], stats.means[lead])
 
 
-class Imed(Policy):
+class Imed:
     """Unstructured minimum-index rule over all arms."""
-
-    name = "imed"
 
     def __init__(self, family, arm_count):
         self.family = family
@@ -95,7 +81,7 @@ class Imed(Policy):
         return _index_argmin(stats, self.family, self._cands, max(stats.means))
 
 
-class Osub(Policy):
+class Osub:
     """KL upper confidence bounds over the leader's neighborhood with a
     leader-round exploitation schedule.
 
@@ -106,15 +92,13 @@ class Osub(Policy):
     is pulled, largest value winning and ties going to the lowest index.
     """
 
-    name = "osub"
-
     def __init__(self, family, graph, gamma=None, c=0.0):
         if gamma is None:
             gamma = graph.max_degree()
         if int(gamma) != gamma or gamma < 0:
             raise ParameterError(f"gamma must be a nonnegative integer, got {gamma!r}")
-        if not math.isfinite(c):
-            raise ParameterError(f"c must be finite, got {c!r}")
+        if not math.isfinite(c) or c < 0:
+            raise ParameterError(f"c must be a finite number >= 0, got {c!r}")
         self.family = family
         self.gamma = int(gamma)
         self.c = float(c)
@@ -149,15 +133,13 @@ class Osub(Policy):
         return best
 
 
-class Uts(Policy):
+class Uts:
     """Thompson sampling over the leader's neighborhood.
 
     Half the time the leader (arm of maximal empirical mean, lowest index
     on ties) is replayed; otherwise one conjugate posterior draw per
     eligible arm decides, largest sample winning.
     """
-
-    name = "uts"
 
     def __init__(self, family, graph, rng):
         if rng is None:

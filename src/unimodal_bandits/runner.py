@@ -12,7 +12,6 @@ import math
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from itertools import repeat
@@ -63,39 +62,28 @@ class ExperimentConfig:
     out_dir: str = "out"
     workers: int = 1
 
-    def family(self):
-        return make_family(self.kind, self.variance)
-
-    def graph(self):
-        if self.graph_kind == "line":
-            return line_graph(len(self.means))
-        return UnimodalGraph(len(self.means), self.graph_edges)
-
     def bandit_config(self):
-        return BanditConfig(self.family(), self.means, self.graph())
+        n = len(self.means)
+        graph = line_graph(n) if self.graph_kind == "line" else UnimodalGraph(n, self.graph_edges)
+        return BanditConfig(make_family(self.kind, self.variance), self.means, graph)
 
     def labels(self):
         return tuple(spec.display() for spec in self.policies)
 
     def digest(self):
-        """Hex digest of everything that determines the results."""
-        payload = {
-            "family": self.kind,
-            "variance": self.variance,
-            "means": list(self.means),
-            "graph": {
-                "kind": self.graph_kind,
-                "edges": None if self.graph_edges is None else sorted(self.graph_edges),
-            },
-            "policies": [
-                {"name": s.name, "gamma": s.gamma, "c": s.c, "label": s.display()}
-                for s in self.policies
-            ],
-            "horizon": self.horizon,
-            "runs": self.runs,
-            "seed": self.seed,
-            "grid": list(self.grid),
-        }
+        """Hex digest of everything that determines the results: as_dict
+        without the output fields, with the family and the graph in the
+        layout the digest has always hashed."""
+        payload = self.as_dict()
+        for key in ("traces", "out", "workers"):
+            del payload[key]
+        family = payload.pop("family")
+        graph = payload["graph"]
+        payload.update(
+            family=family["kind"],
+            variance=family["variance"],
+            graph={"kind": graph["type"], "edges": graph.get("edges")},
+        )
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return sha256(blob.encode()).hexdigest()
 
@@ -174,8 +162,8 @@ def _parse_policy(entry, path):
     if gamma is not None and (not _is(gamma, int) or gamma < 0):
         raise ConfigError(f"{path}.gamma: must be a nonnegative integer")
     c = entry.get("c", 0.0)
-    if not _is(c, (int, float)) or not math.isfinite(c):
-        raise ConfigError(f"{path}.c: must be a finite number")
+    if not _is(c, (int, float)) or not math.isfinite(c) or c < 0:
+        raise ConfigError(f"{path}.c: must be a finite number >= 0")
     label = entry.get("label", "")
     if not isinstance(label, str) or (label and not _LABEL.fullmatch(label)):
         raise ConfigError(f"{path}.label: must be a string matching {_LABEL.pattern}")
@@ -561,7 +549,27 @@ def _audit(rule, actions, rewards, graph, family, run_id):
     return tally, len(actions) - graph.arm_count
 
 
-def _run_pair(cfg, bandit, policy_idx, run_idx, check):
+def _map_cells(cfg, fn, *args):
+    """[fn(cfg, *args, policy_idx, run_idx) for every (policy, run) cell
+    of cfg], in (policy, run) order, computed on cfg.workers processes.
+
+    The results come back in cell order whatever the worker count, and
+    an exception raised for a cell is raised here, the first in cell
+    order, so every caller's output is the serial one.
+    """
+    ps = [p for p in range(len(cfg.policies)) for _ in range(cfg.runs)]
+    rs = [r for _ in range(len(cfg.policies)) for r in range(cfg.runs)]
+    cells = (fn, repeat(cfg), *map(repeat, args), ps, rs)
+    # no more processes than cells: a config.json check reads is outside
+    # input, and its cells are trace files that must exist
+    workers = min(cfg.workers, len(ps))
+    if workers == 1:
+        return list(map(*cells))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(*cells, chunksize=max(1, len(ps) // (8 * workers))))
+
+
+def _run_pair(cfg, bandit, check, policy_idx, run_idx):
     """(regret at the grid times, final counts, ViolationTally) of one
     (policy, run) cell."""
     spec = cfg.policies[policy_idx]
@@ -607,24 +615,12 @@ def run_experiment(cfg, check_invariants=False):
     regret = np.zeros((n_pol, cfg.runs, len(cfg.grid)))
     counts = np.zeros((n_pol, cfg.runs, len(cfg.means)), dtype=np.int64)
     violations = ViolationTally()
-
-    if cfg.traces:
-        (Path(cfg.out_dir) / "traces").mkdir(parents=True, exist_ok=True)
-
-    ps = [p for p in range(n_pol) for _ in range(cfg.runs)]
-    rs = [r for _ in range(n_pol) for r in range(cfg.runs)]
-    bandit = cfg.bandit_config()
-    args = (_run_pair, repeat(cfg), repeat(bandit), ps, rs, repeat(check_invariants))
-    with ExitStack() as stack:
-        if cfg.workers == 1:
-            results = map(*args)
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
-            results = pool.map(*args, chunksize=max(1, len(ps) // (8 * cfg.workers)))
-        for p, r, (run_regret, run_counts, run_violations) in zip(ps, rs, results):
-            regret[p, r] = run_regret
-            counts[p, r] = run_counts
-            violations.add(run_violations)
+    cells = _map_cells(cfg, _run_pair, cfg.bandit_config(), check_invariants)
+    for i, (run_regret, run_counts, run_violations) in enumerate(cells):
+        p, r = divmod(i, cfg.runs)
+        regret[p, r] = run_regret
+        counts[p, r] = run_counts
+        violations.add(run_violations)
 
     labels = cfg.labels()
     mean, std, q10, q90, final_counts = {}, {}, {}, {}, {}
@@ -863,6 +859,23 @@ def read_trace(path, arm_count, family):
     return meta, actions, rewards
 
 
+def _check_cell(cfg, trace_dir, bandit, policy_idx, run_idx):
+    """(ViolationTally, pulls checked) of the trace of one (policy, run)
+    cell of cfg in trace_dir: its header and pull count must be those run
+    writes for the cell, and its log is audited under the config's rule."""
+    name, header, run_id = _trace_cell(cfg.policies[policy_idx], run_idx)
+    f = trace_dir / name
+    meta, actions, rewards = read_trace(f, bandit.arm_count, bandit.family)
+    if meta != header:
+        raise ConfigError(f"{f}:1: header {meta} does not match config.json's {header}")
+    if len(actions) != cfg.horizon:
+        raise ConfigError(
+            f"{f}:{min(len(actions), cfg.horizon) + 2}: {len(actions)} pulls, "
+            f"but config.json's horizon is {cfg.horizon}"
+        )
+    return _audit(header["rule"], actions, rewards, bandit.graph, bandit.family, run_id)
+
+
 def check_trace_dir(path):
     """Run the invariant checker over the structured-rule traces below path.
 
@@ -872,9 +885,10 @@ def check_trace_dir(path):
     of the config, each with the header run writes for it and exactly the
     config's horizon of pulls. Each rule is the config's, never a
     header's: every imed-ub trace is audited (_audit), the other rules'
-    traces are read but not checked. Returns the ViolationTally, added in
-    (policy, run) order as run_experiment adds it, and the number of
-    pulls checked.
+    traces are read but not checked. The traces are read on the config's
+    workers, as run_experiment simulates them (_map_cells). Returns the
+    ViolationTally, added in (policy, run) order as run_experiment adds
+    it, and the number of pulls checked.
     """
     root = Path(path)
     config_path = root / "config.json"
@@ -883,8 +897,6 @@ def check_trace_dir(path):
     if not config_path.exists():
         raise ConfigError(f"{path}: no config.json found next to the traces")
     cfg = load_config(config_path)
-    family = cfg.family()
-    graph = cfg.graph()
 
     trace_dir = root / "traces" if (root / "traces").is_dir() else root
     found = {f.name for f in trace_dir.glob("*.jsonl")}
@@ -892,17 +904,13 @@ def check_trace_dir(path):
         raise ConfigError(f"{trace_dir}: no trace files (*.jsonl) found")
     if all(spec.name != _AUDITED_RULE for spec in cfg.policies):
         raise ConfigError(f"{trace_dir}: no imed-ub traces to check")
-    cells = {}
-    for spec in cfg.policies:
-        for run in range(cfg.runs):
-            name, header, run_id = _trace_cell(spec, run)
-            cells[name] = header, run_id
-    extra = sorted(found - cells.keys())
+    names = [_trace_cell(spec, run)[0] for spec in cfg.policies for run in range(cfg.runs)]
+    extra = sorted(found - set(names))
     if extra:
         raise ConfigError(
             f"{trace_dir / extra[0]}: not the trace of a policy label and run in config.json"
         )
-    missing = [name for name in cells if name not in found]
+    missing = [name for name in names if name not in found]
     if missing:
         raise ConfigError(
             f"{trace_dir / missing[0]}: missing; config.json's policies and runs call for it"
@@ -910,17 +918,7 @@ def check_trace_dir(path):
 
     violations = ViolationTally()
     checked = 0
-    for name, (header, run_id) in cells.items():
-        f = trace_dir / name
-        meta, actions, rewards = read_trace(f, graph.arm_count, family)
-        if meta != header:
-            raise ConfigError(f"{f}:1: header {meta} does not match config.json's {header}")
-        if len(actions) != cfg.horizon:
-            raise ConfigError(
-                f"{f}:{min(len(actions), cfg.horizon) + 2}: {len(actions)} pulls, "
-                f"but config.json's horizon is {cfg.horizon}"
-            )
-        tally, pulls = _audit(header["rule"], actions, rewards, graph, family, run_id)
+    for tally, pulls in _map_cells(cfg, _check_cell, trace_dir, cfg.bandit_config()):
         violations.add(tally)
         checked += pulls
     return violations, checked

@@ -13,6 +13,7 @@ from unimodal_bandits import (
     ConfigError,
     Exponential,
     Gaussian,
+    ParameterError,
     PullStats,
     check_step,
     line_graph,
@@ -61,6 +62,25 @@ def bisect_kl_upper_inverse(family, mu_hat, budget):
         else:
             hi = mid
     return lo
+
+
+def variance_sup(family, lo, hi):
+    """Supremum of family's member variance as the mean ranges over the
+    interval [lo, hi] of its closed mean domain; the variance envelope of
+    the Pinsker-type bound kl(mu, mu') >= (mu' - mu)^2 / (2 sup var)."""
+    family.require_mean_closure(lo)
+    family.require_mean_closure(hi)
+    if lo > hi:
+        raise ParameterError(f"empty mean interval [{lo}, {hi}]")
+    if family.name == "bernoulli":
+        if lo <= 0.5 <= hi:
+            return 0.25
+        # variance is unimodal in the mean with peak at 1/2
+        return max(lo * (1.0 - lo), hi * (1.0 - hi))
+    if family.name == "gaussian":
+        return family.sigma2
+    # exponential: the variance mu^2 grows with the mean
+    return hi * hi
 
 
 def replay_check_log(actions, rewards, graph, family, run_id=""):

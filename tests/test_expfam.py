@@ -20,7 +20,7 @@ from unimodal_bandits import (
 
 from unimodal_bandits.runner import _GUARD
 
-from conftest import FAMILIES, bisect_kl_upper_inverse
+from conftest import FAMILIES, bisect_kl_upper_inverse, variance_sup
 
 EPS = sys.float_info.epsilon
 
@@ -156,7 +156,7 @@ def test_pinsker_lower_bound(family):
         for mu_prime in grid:
             if mu >= mu_prime:
                 continue
-            bound = (mu_prime - mu) ** 2 / (2.0 * family.variance_sup(mu, mu_prime))
+            bound = (mu_prime - mu) ** 2 / (2.0 * variance_sup(family, mu, mu_prime))
             assert family.kl(mu, mu_prime) - bound >= -1e-12
 
 
@@ -251,18 +251,18 @@ def test_sample_rejects_out_of_domain(rng):
 
 
 def test_variance_sup_gaussian_constant():
-    assert Gaussian(0.25).variance_sup(-10.0, 10.0) == 0.25
+    assert variance_sup(Gaussian(0.25), -10.0, 10.0) == 0.25
 
 
 def test_variance_sup_exponential_right_endpoint():
-    assert Exponential().variance_sup(1.0, 2.0) == 4.0
+    assert variance_sup(Exponential(), 1.0, 2.0) == 4.0
 
 
 def test_variance_sup_bernoulli_cases():
     bern = Bernoulli()
-    assert bern.variance_sup(0.15, 0.25) == pytest.approx(0.1875, abs=1e-15)
-    assert bern.variance_sup(0.4, 0.6) == 0.25
-    assert bern.variance_sup(0.7, 0.9) == pytest.approx(0.21, abs=1e-15)
+    assert variance_sup(bern, 0.15, 0.25) == pytest.approx(0.1875, abs=1e-15)
+    assert variance_sup(bern, 0.4, 0.6) == 0.25
+    assert variance_sup(bern, 0.7, 0.9) == pytest.approx(0.21, abs=1e-15)
 
 
 def test_variance_sup_bernoulli_grid_search_oracle():
@@ -272,12 +272,12 @@ def test_variance_sup_bernoulli_grid_search_oracle():
         lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
         dense = np.linspace(lo, hi, 20001)
         oracle = float(np.max(dense * (1.0 - dense)))
-        assert bern.variance_sup(lo, hi) == pytest.approx(oracle, abs=1e-8)
+        assert variance_sup(bern, lo, hi) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_variance_sup_rejects_empty_interval():
     with pytest.raises(ParameterError):
-        Bernoulli().variance_sup(0.6, 0.4)
+        variance_sup(Bernoulli(), 0.6, 0.4)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,12 @@ def test_osub_defaults_gamma_to_max_degree():
         Osub(BERN, line_graph(9), gamma=-1)
 
 
+@pytest.mark.parametrize("c", [-5.0, -1e-300, math.inf, math.nan])
+def test_osub_refuses_negative_or_nonfinite_c(c):
+    with pytest.raises(ParameterError):
+        Osub(BERN, line_graph(9), c=c)
+
+
 def test_osub_zero_budget_index_is_empirical_mean():
     assert BERN.kl_upper_inverse(0.35, 0.0) == 0.35
 

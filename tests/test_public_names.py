@@ -1,6 +1,7 @@
 """Tooling test: every public name of the package is used by the package
-itself, and so is every module-level private name, so code that nothing
-in it calls gets deleted rather than kept."""
+itself, and so are every module-level private name and every public
+method of its classes, so code that nothing in it calls gets deleted
+rather than kept."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,19 @@ def private_definitions(path):
     return {name for name in out if name.startswith("_") and not name.endswith("__")}
 
 
+def public_methods(path):
+    """(class, method) of every public method the classes of a module
+    define; dunders are called by Python, not the package."""
+    return {
+        (node.name, item.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
 def unused_public_names():
     used = set()
     for path in MODULES:
@@ -53,9 +67,23 @@ def unused_private_names():
     )
 
 
+def unused_public_methods():
+    used = set().union(*map(used_names, MODULES))
+    return sorted(
+        f"{path.stem}.{cls}.{name}"
+        for path in MODULES
+        for cls, name in public_methods(path)
+        if name not in used
+    )
+
+
 def test_every_public_name_is_used_in_the_package():
     assert unused_public_names() == []
 
 
 def test_every_private_module_level_name_is_used_in_the_package():
     assert unused_private_names() == []
+
+
+def test_every_public_method_is_used_in_the_package():
+    assert unused_public_methods() == []

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
 from pathlib import Path
 from types import SimpleNamespace
@@ -144,6 +145,7 @@ def test_parse_config_field_errors():
         ({"policies": ["ucb"]}, "policies[0].name: "),
         ({"policies": [{"name": "osub", "c": float("inf")}]}, "policies[0].c: "),
         ({"policies": ["imed", {"name": "osub", "c": float("nan")}]}, "policies[1].c: "),
+        ({"policies": [{"name": "osub", "c": -5}]}, "policies[0].c: "),
         ({"horizon": 1}, "horizon: "),
         ({"horizon": 10, "grid": [5, 4]}, "grid[1]: "),
     ]
@@ -193,7 +195,7 @@ def test_parse_config_edge_graph_and_duplicate_labels():
         }
     )
     assert cfg.labels() == ("osub", "osub-2", "imed-ub")
-    assert cfg.graph().neighbors(1) == (0, 2)
+    assert cfg.bandit_config().graph.neighbors(1) == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,8 @@ def test_trace_replay_reproduces_statistics(tmp_path):
     # each trace replayed through a fresh policy's select reproduces every
     # recorded action, and the replayed counts the run's final counts
     cfg, curves = trace_run(tmp_path, policies=["imed-ub", "imed", "osub"])
-    family, graph = cfg.family(), cfg.graph()
+    bandit = cfg.bandit_config()
+    family, graph = bandit.family, bandit.graph
     for spec in cfg.policies:
         for run in range(cfg.runs):
             path = tmp_path / "traces" / f"{spec.display()}__run{run:05d}.jsonl"
@@ -742,6 +745,99 @@ def test_cli_check_rejects_traces_config_does_not_name(tmp_path, capsys, case):
     capsys.readouterr()
     assert cli_main(["check", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {named}:")
+
+
+def set_workers(out, workers):
+    path = out / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "workers": workers}))
+
+
+def second_run(victim):
+    return victim.with_name("imed-ub__run00001.jsonl")
+
+
+def doctor_two_runs(victim):
+    doctor_first_exploration_row(victim)
+    doctor_first_exploration_row(second_run(victim))
+
+
+def bad_rows_in_two_runs(victim):
+    for path, row in ((victim, "[99,0.0]"), (second_run(victim), "garbage")):
+        lines = replace_row(row)(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+    return victim
+
+
+# edits of a clean 2-run imed-ub output, as in DOCTORED_TRACE_DIRS; an
+# edit that makes check fail returns the file the error must name, the
+# first bad one in (policy, run) order
+WORKER_CHECK_CASES = {
+    "clean": lambda victim: None,
+    "violations-in-two-runs": doctor_two_runs,
+    "bad-rows-in-two-runs": bad_rows_in_two_runs,
+    **DOCTORED_TRACE_DIRS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_CHECK_CASES))
+def test_cli_check_does_not_depend_on_worker_count(tmp_path, capsys, case):
+    # check reads the traces on config.json's workers; its report, errors
+    # and exit code are the serial ones for any worker count
+    cfg_path = write_cli_config(tmp_path)
+    assert cli_main(["run", str(cfg_path), "--traces"]) == 0
+    out = tmp_path / "out"
+    named = WORKER_CHECK_CASES[case](out / "traces" / "imed-ub__run00000.jsonl")
+    outcomes = []
+    for workers in (1, 2, 3):
+        set_workers(out, workers)
+        capsys.readouterr()
+        code = cli_main(["check", str(out)])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    code, stdout, stderr = outcomes[0]
+    if named:
+        assert code == 1 and stderr.startswith(f"error: {named}:")
+    elif case == "clean":
+        assert code == 0 and stdout.startswith("OK: ")
+    else:
+        assert code == 2
+        assert "run=imed-ub/run0 " in stdout and "run=imed-ub/run1 " in stdout
+
+
+def test_check_starts_no_more_workers_than_traces(tmp_path, capsys, monkeypatch):
+    # config.json is outside input to check: a huge workers value starts
+    # one process per trace file at most (a thread pool stands in here)
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=1)
+
+    cfg_path = write_cli_config(tmp_path)
+    assert cli_main(["run", str(cfg_path), "--traces"]) == 0
+    capsys.readouterr()
+    assert cli_main(["check", str(tmp_path / "out")]) == 0
+    serial = capsys.readouterr()
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+    set_workers(tmp_path / "out", 10**9)
+    assert cli_main(["check", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr() == serial
+    assert started == [2]
+
+
+@pytest.mark.parametrize("traces", [[], ["--traces"]], ids=["plain", "traces"])
+def test_cli_run_refuses_an_out_that_is_a_file_before_simulating(
+    tmp_path, capsys, monkeypatch, traces
+):
+    def simulate(*args):
+        raise AssertionError("simulated before out was checked")
+
+    monkeypatch.setattr(runner, "simulate_policy_run", simulate)
+    cfg_path = write_cli_config(tmp_path)
+    (tmp_path / "out").write_text("")
+    assert cli_main(["run", str(cfg_path), *traces]) == 1
+    assert capsys.readouterr().err.startswith("error: out: ")
 
 
 @pytest.mark.parametrize(
