@@ -30,6 +30,14 @@ class BanditConfig:
         self.graph = graph
         self.optimal_arm = max(range(len(means)), key=means.__getitem__)
         self.optimal_mean = means[self.optimal_arm]
+        # the lower-bound constant divides each neighbor's gap by this
+        # divergence, so it must not round to 0
+        for i in graph.neighbors(self.optimal_arm):
+            if means[i] < self.optimal_mean and family.kl(means[i], self.optimal_mean) == 0.0:
+                raise ConfigError(
+                    f"means[{i}]: {means[i]!r} is below the best mean "
+                    f"{self.optimal_mean!r}, but their divergence rounds to 0"
+                )
         self.gaps = tuple(self.optimal_mean - m for m in means)
 
     @property
@@ -78,6 +86,9 @@ def leader(stats):
     """Empirically best arm, preferring fewer pulls, then the lowest index."""
     stats.require_initialized()
     means = stats.means
+    best = max(means)
+    if means.count(best) == 1:
+        return means.index(best)
     counts = stats.counts
     lead = 0
     best_m = means[0]

@@ -3,6 +3,10 @@
 All policies read shared PullStats and return the arm to pull next from
 select(). Call it once per time step: OSUB keeps leader-round counters and
 UTS draws from its own stream on every call.
+
+IMED-UB and IMED cache per-arm index floors and skip the arms whose floor
+proves they cannot win. A floor is keyed on its arm's count and mean, so
+it holds for any sequence of PullStats, in any order.
 """
 
 import math
@@ -10,6 +14,7 @@ from dataclasses import dataclass
 
 from .env import leader
 from .errors import ParameterError
+from .expfam import guard_band
 
 
 def transport_kl(family, mu_hat, target):
@@ -19,40 +24,76 @@ def transport_kl(family, mu_hat, target):
     return family.kl(mu_hat, target)
 
 
-def _index_argmin(stats, family, cands, mu_star):
-    """Arm of minimal index n KL(mean, mu_star) + log n among cands, lowest
-    index on ties."""
-    counts = stats.counts
-    means = stats.means
-    kl = family.kl
-    log = math.log
-    best = cands[0]
-    best_val = math.inf
-    for a in cands:
-        n = counts[a]
-        x = means[a]
-        v = log(n)
-        if x < mu_star:
-            v += n * kl(x, mu_star)
-        if v < best_val:
-            best_val = v
-            best = a
-    return best
-
-
 def _argmax_lowest(stats):
     """Arm of maximal empirical mean, lowest index on ties."""
     means = stats.means
-    lead = 0
-    best = means[0]
-    for a in range(1, stats.arm_count):
-        if means[a] > best:
-            best = means[a]
-            lead = a
-    return lead
+    return means.index(max(means))
 
 
-class ImedUB:
+# an index floor is taken at mu* - _FLOOR_SLACK (mu* - mean), a little below
+# the best mean, so that it still holds after the best mean drops a little
+_FLOOR_SLACK = 0.002
+
+
+class _IndexRule:
+    """The argmin both minimum-index rules share, with per-arm index floors.
+
+    Per arm the rule keeps the (count, mean) key of an exact evaluation, a
+    point ref in [mean, mu*] and the floor log n + n KL(mean, ref), less its
+    rounding band (expfam.guard_band). KL(mean, .) does not decrease above
+    the mean, so while the key matches and mu* >= ref the arm's index is at
+    least the floor.
+    """
+
+    def __init__(self, family, arm_count):
+        self.family = family
+        self._key_n = [0] * arm_count
+        self._key_m = [0.0] * arm_count
+        self._ref = [0.0] * arm_count
+        self._cut = [math.nan] * arm_count
+
+    def _index_argmin(self, stats, cands, mu_star, n_lead):
+        """Arm of minimal index n KL(mean, mu_star) + log n among cands,
+        lowest index on ties. The leader, of count n_lead, is among them,
+        so the minimum is at most log n_lead: an arm whose floor clears that
+        is skipped, and every other arm is evaluated exactly.
+        """
+        counts = stats.counts
+        means = stats.means
+        key_n = self._key_n
+        key_m = self._key_m
+        refs = self._ref
+        cuts = self._cut
+        kl = self.family.kl
+        log = math.log
+        log_lead = log(n_lead)
+        best = cands[0]
+        best_val = math.inf
+        for a in cands:
+            n = counts[a]
+            x = means[a]
+            if cuts[a] > log_lead and mu_star >= refs[a] and key_n[a] == n and key_m[a] == x:
+                continue
+            v = log_n = log(n)
+            if x < mu_star:
+                v += n * kl(x, mu_star)
+                if v > log_lead:
+                    # a ref rounded below the mean would overstate the floor
+                    ref = max(x, mu_star - _FLOOR_SLACK * (mu_star - x))
+                    floor = log_n + n * kl(x, ref)
+                    key_n[a] = n
+                    key_m[a] = x
+                    refs[a] = ref
+                    # for any log_lead below the floor, the band of
+                    # (floor, log_lead) is at most this one
+                    cuts[a] = floor - guard_band(floor, floor, n)
+            if v < best_val:
+                best_val = v
+                best = a
+        return best
+
+
+class ImedUB(_IndexRule):
     """Minimum-index rule restricted to the leader and its graph neighbors.
 
     The leader is an empirically best arm with the fewest pulls (lowest
@@ -61,24 +102,30 @@ class ImedUB:
     """
 
     def __init__(self, family, graph):
-        self.family = family
+        super().__init__(family, graph.arm_count)
         self._cands = tuple(graph.candidates(a) for a in range(graph.arm_count))
 
     def select(self, stats):
         lead = leader(stats)
-        return _index_argmin(stats, self.family, self._cands[lead], stats.means[lead])
+        return self._index_argmin(
+            stats, self._cands[lead], stats.means[lead], stats.counts[lead]
+        )
 
 
-class Imed:
+class Imed(_IndexRule):
     """Unstructured minimum-index rule over all arms."""
 
     def __init__(self, family, arm_count):
-        self.family = family
+        super().__init__(family, arm_count)
         self._cands = tuple(range(arm_count))
 
     def select(self, stats):
         stats.require_initialized()
-        return _index_argmin(stats, self.family, self._cands, max(stats.means))
+        means = stats.means
+        mu_star = max(means)
+        return self._index_argmin(
+            stats, self._cands, mu_star, stats.counts[means.index(mu_star)]
+        )
 
 
 class Osub:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .env import BanditConfig, BanditEnv, PullStats
 from .errors import ConfigError, ParameterError
-from .expfam import make_family
+from .expfam import guard_band, make_family
 from .graph import UnimodalGraph, line_graph
 from .invariants import TOLERANCE, check_step
 from .policies import PolicySpec, make_policy
@@ -31,8 +31,6 @@ _VIOLATION_SAMPLE_CAP = 20
 # steps check_log audits together: its working memory is a few arrays of
 # _AUDIT_BLOCK x arm_count
 _AUDIT_BLOCK = 1024
-# guard band of check_log's certified margins, about 64 eps; see _cleared
-_GUARD = 1.5e-14
 # characters of trace body read_trace decodes with one json.loads
 _READ_CHUNK = 1 << 16
 # the one rule whose pull logs run --check-invariants and check audit
@@ -387,20 +385,12 @@ def grid_regret(bandit, actions, grid):
 def _cleared(lhs, rhs, n):
     """Where check_step's test lhs > rhs + TOLERANCE certainly fails, for
     sides computed with numpy's log and log1p in place of math's; one side
-    is n times a divergence, n a pull count.
-
-    The two libraries' logs differ by an ulp at most (measured on 3e6
-    random inputs each with numpy 2.4 on x86-64), so n KL(m, mu*) differs
-    from check_step's by a few ulps, say 4, of the log terms KL sums.
-    With m near mu* those terms are at most about 2 sqrt(2 KL) in size,
-    and n KL <= rhs where it is compared with a log count, so the sides
-    differ by less than 8 eps sqrt(2 n rhs) <= 6 eps sqrt(n) (1 + |rhs|).
-    The band, _GUARD sqrt(n) (1 + |lhs| + |rhs|), is ten times that. An
-    infinite side is the same inf in both; a NaN margin never clears.
+    is n times a divergence, n a pull count. The margin must exceed
+    guard_band; an infinite side is the same inf in both, and a NaN margin
+    never clears.
     """
     margin = rhs + TOLERANCE - lhs
-    band = _GUARD * np.sqrt(n) * (1.0 + np.abs(lhs) + np.abs(rhs))
-    return (margin > band) | (margin == math.inf)
+    return (margin > guard_band(lhs, rhs, n)) | (margin == math.inf)
 
 
 def check_log(actions, rewards, graph, family, run_id=""):

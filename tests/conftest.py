@@ -143,6 +143,73 @@ def read_trace_by_line(path, arm_count, family):
     return meta, actions, rewards
 
 
+def index_argmin_loop(stats, family, cands, mu_star):
+    """Reference argmin of the minimum-index rules: every candidate's index
+    n KL(mean, mu_star) + log n evaluated exactly, the first minimum kept."""
+    counts = stats.counts
+    means = stats.means
+    best = cands[0]
+    best_val = math.inf
+    for a in cands:
+        n = counts[a]
+        x = means[a]
+        v = math.log(n)
+        if x < mu_star:
+            v += n * family.kl(x, mu_star)
+        if v < best_val:
+            best_val = v
+            best = a
+    return best
+
+
+def leader_loop(stats):
+    """Reference env.leader: one pass keeping the best mean, fewer pulls
+    breaking ties, then the lowest index."""
+    stats.require_initialized()
+    means = stats.means
+    counts = stats.counts
+    lead = 0
+    best_m = means[0]
+    best_c = counts[0]
+    for a in range(1, stats.arm_count):
+        m = means[a]
+        if m > best_m or (m == best_m and counts[a] < best_c):
+            lead = a
+            best_m = m
+            best_c = counts[a]
+    return lead
+
+
+def argmax_lowest_loop(stats):
+    """Reference policies._argmax_lowest: the first arm of maximal mean."""
+    means = stats.means
+    lead = 0
+    best = means[0]
+    for a in range(1, stats.arm_count):
+        if means[a] > best:
+            best = means[a]
+            lead = a
+    return lead
+
+
+def oracle_select(rule, family, graph):
+    """select() of the rule "imed-ub" or "imed" on graph, built from the
+    reference loops above."""
+    if rule == "imed-ub":
+        def select(stats):
+            lead = leader_loop(stats)
+            return index_argmin_loop(
+                stats, family, graph.candidates(lead), stats.means[lead]
+            )
+    else:
+        def select(stats):
+            stats.require_initialized()
+            return index_argmin_loop(
+                stats, family, range(graph.arm_count), max(stats.means)
+            )
+    return select
+
+
 def make_stats(counts, means):
     """PullStats with the given per-arm counts and empirical means."""
     stats = PullStats(len(counts))

@@ -3,6 +3,8 @@ selection, regret accounting, determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimodal_bandits import (
     BanditConfig,
@@ -21,7 +23,9 @@ from unimodal_bandits import (
     simulate_policy_run,
 )
 
-from conftest import HILL_MEANS, make_stats
+from unimodal_bandits.policies import _argmax_lowest
+
+from conftest import HILL_MEANS, argmax_lowest_loop, leader_loop, make_stats
 
 
 def make_env(seed=0, means=HILL_MEANS, family=None):
@@ -52,6 +56,21 @@ def test_config_rejects_out_of_domain_means():
         BanditConfig(Bernoulli(), (0.5, 1.5), line_graph(2))
     with pytest.raises(ConfigError):
         BanditConfig(Gaussian(1.0), (0.5, float("nan")), line_graph(2))
+
+
+@pytest.mark.parametrize(
+    "family, means, arm",
+    [
+        (Bernoulli(), (0.1, 0.30000000000000004, 0.3), 2),
+        (Gaussian(1e300), (0.0, 1e-300, 0.0), 0),
+    ],
+    ids=["bernoulli", "gaussian"],
+)
+def test_config_rejects_a_neighbor_whose_divergence_rounds_to_zero(family, means, arm):
+    # the lower-bound constant divides the neighbor's gap by this divergence
+    assert family.kl(means[arm], means[1]) == 0.0 < means[1] - means[arm]
+    with pytest.raises(ConfigError, match=rf"^means\[{arm}\]: "):
+        BanditConfig(family, means, line_graph(3))
 
 
 def test_config_rejects_length_mismatch():
@@ -104,6 +123,36 @@ def test_leader_matches_composed_oracle():
         tied = [a for a in range(n) if means[a] == best]
         oracle = min(tied, key=lambda a: (counts[a], a))
         assert leader(stats) == oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 4), st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_leader_scans_match_the_loops(arms):
+    # few distinct means and counts, so ties of both are common; -0.0 and
+    # 0.0 compare equal
+    counts, means = zip(*arms)
+    stats = make_stats(counts, means)
+    assert leader(stats) == leader_loop(stats)
+    assert _argmax_lowest(stats) == argmax_lowest_loop(stats)
+
+
+def test_leader_scans_on_all_equal_means_and_signed_zeros():
+    for counts, means in [
+        ([3, 3, 3], [0.5, 0.5, 0.5]),
+        ([3, 2, 2], [0.5, 0.5, 0.5]),
+        ([2, 1], [-0.0, 0.0]),
+        ([1, 2], [-0.0, 0.0]),
+        ([1, 1], [0.0, -0.0]),
+    ]:
+        stats = make_stats(counts, means)
+        assert leader(stats) == leader_loop(stats)
+        assert _argmax_lowest(stats) == argmax_lowest_loop(stats) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from unimodal_bandits import (
     ParameterError,
     make_family,
 )
-
-from unimodal_bandits.runner import _GUARD
+from unimodal_bandits.expfam import guard_band
 
 from conftest import FAMILIES, bisect_kl_upper_inverse, variance_sup
 
@@ -455,4 +454,4 @@ def test_kl_many_matches_kl(family, data):
         if m == p:
             assert g == 0.0
         if want != math.inf:
-            assert abs(g - want) <= _GUARD * (1.0 + abs(g) + abs(want)), (m, p, g, want)
+            assert abs(g - want) <= guard_band(g, want, 1), (m, p, g, want)

@@ -1,13 +1,17 @@
 """Policy tests: index values, selection rules, baselines, tie-breaking."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimodal_bandits import (
     BanditConfig,
     Bernoulli,
+    Exponential,
     Gaussian,
     Imed,
     ImedUB,
@@ -16,16 +20,24 @@ from unimodal_bandits import (
     PolicySpec,
     PullStats,
     StateError,
+    UnimodalGraph,
     Uts,
     leader,
     line_graph,
+    load_config,
     make_policy,
     seed_sequence,
     simulate_policy_run,
     transport_kl,
 )
 
-from conftest import FAMILIES, HILL_MEANS, bisect_kl_upper_inverse, make_stats
+from conftest import (
+    FAMILIES,
+    HILL_MEANS,
+    bisect_kl_upper_inverse,
+    make_stats,
+    oracle_select,
+)
 
 
 BERN = Bernoulli()
@@ -88,6 +100,110 @@ def test_index_floor_property():
         assert index_oracle(stats, BERN, chosen) <= math.log(stats.counts[lead]) + 1e-12
         for a in g.candidates(lead):
             assert index_oracle(stats, BERN, a) >= math.log(stats.counts[a]) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# index floors: the rules against the reference loops of conftest
+
+
+GRID36 = Path(__file__).resolve().parents[1] / "bench" / "configs" / "grid36_exponential.json"
+
+PARITY_BANDITS = {
+    "bernoulli-hill": lambda: BanditConfig(BERN, HILL_MEANS, line_graph(9)),
+    "gaussian-hill": lambda: BanditConfig(Gaussian(0.25), HILL_MEANS, line_graph(9)),
+    "exponential-hill": lambda: BanditConfig(
+        Exponential(), [m + 0.5 for m in HILL_MEANS], line_graph(9)
+    ),
+    "grid36": lambda: load_config(GRID36).bandit_config(),
+}
+
+RULE_CLASS = {"imed-ub": ImedUB, "imed": Imed}
+
+
+def oracle_log(bandit, rule, run, horizon):
+    """simulate_policy_run with the rule's select() replaced by conftest's
+    reference loops, which evaluate every candidate's index exactly."""
+    select = oracle_select(rule, bandit.family, bandit.graph)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RULE_CLASS[rule], "select", lambda self, stats: select(stats))
+        return simulate_policy_run(
+            bandit, PolicySpec(rule), seed_sequence(20260810, run, 0), horizon
+        )
+
+
+def assert_matches_oracle(bandit, rule, run, horizon):
+    # a SeedSequence counts its spawns, so each run gets a fresh one
+    log = simulate_policy_run(
+        bandit, PolicySpec(rule), seed_sequence(20260810, run, 0), horizon
+    )
+    assert log == oracle_log(bandit, rule, run, horizon)
+
+
+@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
+@pytest.mark.parametrize("name", sorted(PARITY_BANDITS))
+def test_index_rules_match_the_oracle_loops(name, rule):
+    bandit = PARITY_BANDITS[name]()
+    for run in range(2):
+        assert_matches_oracle(bandit, rule, run, 3000)
+
+
+@st.composite
+def unimodal_bandits(draw):
+    """A line or a random tree with means falling with the distance to a
+    peak, so arms at one distance share their mean; Bernoulli means sit
+    near 0 or near 1."""
+    k = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        edges = [(i - 1, i) for i in range(1, k)]
+    else:
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    graph = UnimodalGraph(k, edges)
+    peak = draw(st.integers(0, k - 1))
+    dist = {peak: 0}
+    frontier = [peak]
+    while frontier:
+        a = frontier.pop()
+        for b in graph.neighbors(a):
+            if b not in dist:
+                dist[b] = dist[a] + 1
+                frontier.append(b)
+    family = draw(st.sampled_from(FAMILIES))
+    ratio = draw(st.sampled_from([0.5, 0.9, 0.999]))
+    if family.name == "bernoulli":
+        top = draw(st.sampled_from([0.01, 0.3, 0.999]))
+        means = [top * ratio ** dist[a] for a in range(k)]
+    elif family.name == "gaussian":
+        means = [ratio ** dist[a] for a in range(k)]
+    else:
+        means = [2.0 * ratio ** dist[a] for a in range(k)]
+    return BanditConfig(family, means, graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bandit=unimodal_bandits(), rule=st.sampled_from(["imed-ub", "imed"]),
+       run=st.integers(0, 2**16))
+def test_index_rules_match_the_oracle_loops_on_drawn_instances(bandit, rule, run):
+    assert_matches_oracle(bandit, rule, run, 600)
+
+
+@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
+def test_index_floors_follow_means_at_equal_counts(rule):
+    # one policy instance sees PullStats that all share their counts, so a
+    # floor keyed on the count alone would outlive its arm's mean; moves
+    # of the best mean by a hair or by 0.05 also test the floors' ref
+    rng = np.random.default_rng(19)
+    g = line_graph(6)
+    policy = make_policy(PolicySpec(rule), BERN, g)
+    oracle = oracle_select(rule, BERN, g)
+    counts = [400, 30, 900, 12, 250, 600]
+    means = rng.uniform(0.2, 0.8, 6)
+    for step in range(3000):
+        if step % 100 == 0:
+            means = rng.uniform(0.2, 0.8, 6)
+        arm = rng.integers(6)
+        means[arm] = min(0.99, max(0.01, means[arm] + rng.choice([-0.05, -1e-12, 1e-12, 0.05])))
+        stats = make_stats(counts, means)
+        assert policy.select(stats) == oracle(stats), step
 
 
 def test_transport_kl_clamps_above_target():

@@ -878,6 +878,27 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["run", "theory"])
+@pytest.mark.parametrize(
+    "family, means",
+    [
+        ("bernoulli", [0.1, 0.30000000000000004, 0.3]),
+        ({"kind": "gaussian", "variance": 1e300}, [0.0, 1e-300, 0.0]),
+    ],
+    ids=["bernoulli", "gaussian"],
+)
+def test_cli_refuses_a_neighbor_whose_divergence_rounds_to_zero(
+    tmp_path, capsys, family, means, command
+):
+    # the lower-bound constant would divide the neighbor's gap by 0.0
+    cfg_path = write_cli_config(tmp_path, family=family, means=means, grid=[100], horizon=100)
+    assert cli_main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: means[")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_overrides(tmp_path, capsys):
     # a {"points": N} grid follows the overriding horizon
     cfg_path = write_cli_config(tmp_path, grid={"points": 20})
