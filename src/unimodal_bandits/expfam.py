@@ -11,6 +11,7 @@ derived helpers accept the closed domain by continuous extension.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -110,7 +111,7 @@ class Family:
     def _inverse_top(self, mu_hat, budget):
         """Upper end of kl_upper_inverse's bracket, a mean q with
         kl(mu_hat, q) > budget unless q is the top of the domain; inf when
-        that would overflow."""
+        no float has kl(mu_hat, q) > budget."""
         return self.mean_hi
 
     def kl_upper_inverse(self, mu_hat, budget):
@@ -126,6 +127,11 @@ class Family:
         family's _inverse_top ends the bracket. budget == 0 returns mu_hat
         exactly; budget == inf, or a bracket end that overflows, the top
         of the domain.
+
+        Contract, for every family: the result r is mu_hat, or has
+        kl(mu_hat, r) <= budget as kl computes it, or is inf, and inf only
+        when kl(mu_hat, q) <= budget, up to rounding, at every float q where
+        kl is finite. Osub.select's certificate rests on it.
         """
         self._check_inverse_args(mu_hat, budget)
         if budget == 0.0 or mu_hat >= self.mean_hi:
@@ -139,8 +145,9 @@ class Family:
         lo = mu_hat
         half = 0.5 * BISECT_TOL
         q = self._inverse_start(mu_hat, budget)
+        # halves first: lo + hi can overflow near the largest float
         if not lo < q < hi:
-            q = 0.5 * (lo + hi)
+            q = 0.5 * lo + 0.5 * hi
         for _ in range(BISECT_MAX_ITER):
             if hi - lo <= BISECT_TOL:
                 break
@@ -155,7 +162,7 @@ class Family:
                 step = half if f > 0.0 else -half
             q -= step
             if not lo < q < hi:
-                q = 0.5 * (lo + hi)
+                q = 0.5 * lo + 0.5 * hi
         return lo
 
     def __repr__(self):
@@ -322,13 +329,16 @@ class Exponential(Family):
 
     def _inverse_top(self, mu_hat, budget):
         # kl(mu, mu e^(b+1)) = b + e^-(b+1) > b; at mu = 0 every q > 0 has
-        # kl = inf, so the bracket is [0, 0] whatever the budget
+        # kl = inf, so the bracket is [0, 0] whatever the budget. When
+        # mu e^(b+1) overflows the root may still be a float: kl at the
+        # largest float decides
         if mu_hat == 0.0:
             return 0.0
         try:
             return math.exp(math.log(mu_hat) + budget + 1.0)
         except OverflowError:
-            return math.inf
+            top = sys.float_info.max
+            return top if self.kl(mu_hat, top) > budget else math.inf
 
 
 def make_family(kind, variance=None):

@@ -7,6 +7,10 @@ UTS draws from its own stream on every call.
 IMED-UB and IMED cache per-arm index floors and skip the arms whose floor
 proves they cannot win. A floor is keyed on its arm's count and mean, so
 it holds for any sequence of PullStats, in any order.
+
+OSUB solves the KL upper inverse exactly for the leader only. Every other
+candidate is skipped when one divergence proves its bound below the best
+one so far; OSUB keeps no state for this.
 """
 
 import math
@@ -137,6 +141,18 @@ class Osub:
     round the leader itself is pulled; otherwise the eligible arm with the
     largest KL upper inverse at budget (log l + c*loglog max(l, e))/pulls
     is pulled, largest value winning and ties going to the lowest index.
+
+    Only the winner is needed, not its bound. select solves the leader's
+    inverse v first and skips a candidate of mean m < v < inf and budget b
+    when d = kl(m, v) > b + guard_band(d, b, 1). By kl_upper_inverse's
+    contract the candidate's bound r is m, or has kl(m, r) <= b, or is inf
+    only when no float has kl(m, q) > b beyond rounding. KL(m, .) does not
+    decrease above m, so r < v strictly: a skipped arm is never a maximum,
+    and an exact tie is never skipped. The band covers the rounding of kl
+    at r and at v: kl sums at most two terms of size at most 1 + kl
+    (Bernoulli: m log(q/m) <= q - m <= 1; Exponential: (q - m)/q < 1),
+    each off by a few eps of its size, so the two evaluations err by less
+    than about 16 eps (1 + b + d), a quarter of the band.
     """
 
     def __init__(self, family, graph, gamma=None, c=0.0):
@@ -166,15 +182,24 @@ class Osub:
         if (rounds - 1) % (self.gamma + 1) == 0:
             return lead
         bonus = self._bonus(rounds)
-        inverse = self.family.kl_upper_inverse
+        family = self.family
+        inverse = family.kl_upper_inverse
+        kl = family.kl
         counts = stats.counts
         means = stats.means
-        cands = self._cands[lead]
-        best = cands[0]
-        best_val = -math.inf
-        for a in cands:
-            v = inverse(means[a], bonus / counts[a])
-            if v > best_val:
+        best = lead
+        best_val = inverse(means[lead], bonus / counts[lead])
+        for a in self._cands[lead]:
+            if a == lead:
+                continue
+            x = means[a]
+            b = bonus / counts[a]
+            if x < best_val < math.inf:
+                d = kl(x, best_val)
+                if d > b + guard_band(d, b, 1):
+                    continue
+            v = inverse(x, b)
+            if v > best_val or (v == best_val and a < best):
                 best_val = v
                 best = a
         return best

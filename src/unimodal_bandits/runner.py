@@ -339,12 +339,19 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
     entries; regret, counts, traces and checks are derived from it. Every
     arm gets its own child stream of seed_seq (the policy gets one more
     for its own randomness), so the rewards an arm yields do not depend
-    on the interleaving the policy produces.
+    on the interleaving the policy produces. The children are the ones
+    seed_seq.spawn would give on a fresh sequence, but seed_seq is left as
+    it is, so one object passed twice gives the same log.
     """
     n = bandit.arm_count
     if horizon < n:
         raise ParameterError(f"horizon {horizon} below arm count {n}")
-    children = seed_seq.spawn(n + 1)
+    children = [
+        np.random.SeedSequence(
+            seed_seq.entropy, spawn_key=seed_seq.spawn_key + (i,), pool_size=seed_seq.pool_size
+        )
+        for i in range(n + 1)
+    ]
     env = BanditEnv(bandit, [np.random.default_rng(c) for c in children[:n]])
     policy = make_policy(
         spec, bandit.family, bandit.graph, rng=np.random.default_rng(children[n])

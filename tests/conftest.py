@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from itertools import islice
 
 import numpy as np
@@ -31,10 +32,10 @@ def bisect_kl_upper_inverse(family, mu_hat, budget):
     bisection on kl(mu_hat, q) <= budget.
 
     A finite domain top caps the bracket; otherwise it grows by doubling
-    until kl exceeds the budget, and a bracket end that overflows gives the
-    top of the domain. Returns the lower end of a bracket at most 1e-10
-    wide, or after BISECT_MAX_ITER halvings when floats that large are
-    coarser than that.
+    until kl exceeds the budget, up to the largest float, and a budget that
+    even that one meets gives the top of the domain. Returns the lower end
+    of a bracket at most 1e-10 wide, or after BISECT_MAX_ITER halvings when
+    floats that large are coarser than that.
     """
     if budget == 0.0 or mu_hat >= family.mean_hi:
         return mu_hat
@@ -45,18 +46,20 @@ def bisect_kl_upper_inverse(family, mu_hat, budget):
         if kl(mu_hat, hi) <= budget:
             return hi
     else:
+        top = sys.float_info.max
         step = 1.0 + abs(mu_hat)
-        hi = mu_hat + step
+        hi = min(mu_hat + step, top)
         while kl(mu_hat, hi) <= budget:
+            if hi == top:
+                return family.mean_hi
             lo = hi
             step *= 2.0
-            hi = mu_hat + step
-            if hi == math.inf:
-                return family.mean_hi
+            hi = min(mu_hat + step, top)
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break
-        mid = 0.5 * (lo + hi)
+        # halves first: lo + hi can overflow near the largest float
+        mid = 0.5 * lo + 0.5 * hi
         if kl(mu_hat, mid) <= budget:
             lo = mid
         else:
@@ -190,6 +193,35 @@ def argmax_lowest_loop(stats):
             best = means[a]
             lead = a
     return lead
+
+
+def osub_argmax_loop(stats, family, cands, bonus):
+    """Reference arg-max of Osub.select: every candidate's KL upper inverse
+    at budget bonus / count solved exactly, the first maximum kept."""
+    counts = stats.counts
+    means = stats.means
+    best = cands[0]
+    best_val = -math.inf
+    for a in cands:
+        v = family.kl_upper_inverse(means[a], bonus / counts[a])
+        if v > best_val:
+            best_val = v
+            best = a
+    return best
+
+
+def osub_select_loop(policy, graph, stats):
+    """Reference Osub.select on graph: policy's leader-round schedule, which
+    it advances in policy.leader_rounds, with osub_argmax_loop deciding the
+    rounds that are not forced."""
+    stats.require_initialized()
+    lead = argmax_lowest_loop(stats)
+    policy.leader_rounds[lead] += 1
+    rounds = policy.leader_rounds[lead]
+    if (rounds - 1) % (policy.gamma + 1) == 0:
+        return lead
+    bonus = math.log(rounds) + policy.c * math.log(math.log(max(rounds, math.e)))
+    return osub_argmax_loop(stats, policy.family, graph.candidates(lead), bonus)
 
 
 def oracle_select(rule, family, graph):

@@ -350,6 +350,55 @@ def test_inverse_matches_bisection_oracle(family):
         assert family.kl(mu, out) <= budget, (mu, budget, out)
 
 
+def test_exponential_inverse_finds_a_root_past_the_bracket_overflow():
+    # mu e^(b+1), the bracket's top, overflows, yet kl(mu, q) passes b below
+    # the largest float: the root is a float, pinned to an ulp
+    expo = Exponential()
+    for mu, budget in [(sys.float_info.max / 2, 0.1), (sys.float_info.max / 4, 0.5)]:
+        assert expo.kl(mu, sys.float_info.max) > budget
+        out = expo.kl_upper_inverse(mu, budget)
+        assert out < math.inf
+        assert expo.kl(mu, out) <= budget < expo.kl(mu, math.nextafter(out, math.inf))
+
+
+def contract_means(family):
+    """Means of family's closed domain, its edges drawn often: Bernoulli 0
+    and 1, Exponential 0 and the largest floats, Gaussian any finite one."""
+    top = sys.float_info.max
+    if family.name == "bernoulli":
+        edges, inner = [0.0, 1.0, 5e-324, 1.0 - EPS / 2], st.floats(0.0, 1.0)
+    elif family.name == "gaussian":
+        edges, inner = [0.0, -top, top], st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        edges, inner = [0.0, 5e-324, top / 2, top], st.floats(0.0, top)
+    return st.one_of(st.sampled_from(edges), inner)
+
+
+INVERSES = [
+    *((f.name, f, f.kl_upper_inverse) for f in FAMILIES),
+    *(
+        (f"{f.name}-bisection", f, lambda mu, b, f=f: bisect_kl_upper_inverse(f, mu, b))
+        for f in FAMILIES
+    ),
+]
+
+
+@pytest.mark.parametrize("name, family, inverse", INVERSES, ids=[i[0] for i in INVERSES])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_inverse_contract(name, family, inverse, data):
+    # what Osub.select's certificate rests on: the result is mu_hat, or kl
+    # at it is within the budget, or inf only when kl at the largest float
+    # is within the budget too
+    mu = data.draw(contract_means(family))
+    budget = data.draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e3)))
+    r = inverse(mu, budget)
+    if r == math.inf:
+        assert family.kl(mu, sys.float_info.max) <= budget, (mu, budget)
+    else:
+        assert r == mu or family.kl(mu, r) <= budget, (mu, budget, r)
+
+
 def kl_target_slope(family, mu, out):
     """d KL(mu, y) / dy at y = out; it diverges toward a finite domain cap."""
     if family.name == "bernoulli":

@@ -37,6 +37,7 @@ from conftest import (
     bisect_kl_upper_inverse,
     make_stats,
     oracle_select,
+    osub_select_loop,
 )
 
 
@@ -103,7 +104,8 @@ def test_index_floor_property():
 
 
 # ---------------------------------------------------------------------------
-# index floors: the rules against the reference loops of conftest
+# index floors and OSUB's certificate: the rules against the reference
+# loops of conftest
 
 
 GRID36 = Path(__file__).resolve().parents[1] / "bench" / "configs" / "grid36_exponential.json"
@@ -117,26 +119,33 @@ PARITY_BANDITS = {
     "grid36": lambda: load_config(GRID36).bandit_config(),
 }
 
-RULE_CLASS = {"imed-ub": ImedUB, "imed": Imed}
+RULE_CLASS = {"imed-ub": ImedUB, "imed": Imed, "osub": Osub}
 
 
-def oracle_log(bandit, rule, run, horizon):
+def oracle_log(bandit, spec, seed_seq, horizon):
     """simulate_policy_run with the rule's select() replaced by conftest's
-    reference loops, which evaluate every candidate's index exactly."""
-    select = oracle_select(rule, bandit.family, bandit.graph)
+    reference loops, which evaluate every candidate's index or KL upper
+    inverse exactly."""
+    graph = bandit.graph
+    if spec.name == "osub":
+        def select(self, stats):
+            return osub_select_loop(self, graph, stats)
+    else:
+        loop = oracle_select(spec.name, bandit.family, graph)
+
+        def select(self, stats):
+            return loop(stats)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RULE_CLASS[rule], "select", lambda self, stats: select(stats))
-        return simulate_policy_run(
-            bandit, PolicySpec(rule), seed_sequence(20260810, run, 0), horizon
-        )
+        mp.setattr(RULE_CLASS[spec.name], "select", select)
+        return simulate_policy_run(bandit, spec, seed_seq, horizon)
 
 
-def assert_matches_oracle(bandit, rule, run, horizon):
-    # a SeedSequence counts its spawns, so each run gets a fresh one
-    log = simulate_policy_run(
-        bandit, PolicySpec(rule), seed_sequence(20260810, run, 0), horizon
-    )
-    assert log == oracle_log(bandit, rule, run, horizon)
+def assert_matches_oracle(bandit, rule, run, horizon, spec=None):
+    # a run leaves its SeedSequence as it is, so both runs share one
+    spec = spec or PolicySpec(rule)
+    seed_seq = seed_sequence(20260810, run, 0)
+    log = simulate_policy_run(bandit, spec, seed_seq, horizon)
+    assert log == oracle_log(bandit, spec, seed_seq, horizon)
 
 
 @pytest.mark.parametrize("rule", ["imed-ub", "imed"])
@@ -184,6 +193,83 @@ def unimodal_bandits(draw):
        run=st.integers(0, 2**16))
 def test_index_rules_match_the_oracle_loops_on_drawn_instances(bandit, rule, run):
     assert_matches_oracle(bandit, rule, run, 600)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_BANDITS))
+def test_osub_matches_the_oracle_loop(name):
+    # runs 0 and 420 of the acceptance study's seed; c = 3 adds the
+    # loglog term to the bonus
+    bandit = PARITY_BANDITS[name]()
+    for run in (0, 420):
+        assert_matches_oracle(bandit, "osub", run, 3000)
+    assert_matches_oracle(bandit, "osub", 1, 3000, PolicySpec("osub", c=3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bandit=unimodal_bandits(), gamma=st.sampled_from([None, 1]),
+       c=st.sampled_from([0.0, 3.0]), run=st.integers(0, 2**16))
+def test_osub_matches_the_oracle_loop_on_drawn_instances(bandit, gamma, c, run):
+    assert_matches_oracle(bandit, "osub", run, 600, PolicySpec("osub", gamma=gamma, c=c))
+
+
+def osub_stats(draw, family, k):
+    """PullStats on k arms whose counts and means come from short lists,
+    so neighbours often tie in (count, mean); the Bernoulli and Exponential
+    lists hold the edges of their mean domains."""
+    pool = {
+        "bernoulli": [0.0, 0.2, 0.25, 0.5, 0.999, 1.0],
+        "gaussian": [-1.0, 0.0, 0.25, 0.5],
+        "exponential": [0.0, 0.3, 0.5, 1.0, 2.0],
+    }[family.name]
+    lo, hi = max(family.mean_lo, -2.0), min(family.mean_hi, 3.0)
+    mean = st.one_of(st.sampled_from(pool), st.floats(lo, hi))
+    counts = draw(st.lists(st.sampled_from([1, 2, 5, 40]), min_size=k, max_size=k))
+    return make_stats(counts, draw(st.lists(mean, min_size=k, max_size=k)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_osub_select_matches_the_oracle_loop(data):
+    # the certificate against the loop that solves every candidate, one
+    # policy for each with the same leader rounds; each call advances the
+    # rounds, so a few calls on one PullStats reach the unforced ones.
+    # About a tenth of the examples have a Bernoulli leader at mean 1.0,
+    # whose bound is 1.0 itself, and a sixth a neighbour tied with the
+    # leader in count and mean
+    family = data.draw(st.sampled_from(FAMILIES))
+    k = data.draw(st.integers(2, 6))
+    g = line_graph(k) if data.draw(st.booleans()) else UnimodalGraph(
+        k, [(0, i) for i in range(1, k)]
+    )
+    gamma = data.draw(st.sampled_from([1, 2]))
+    c = data.draw(st.sampled_from([0.0, 3.0]))
+    stats = osub_stats(data.draw, family, k)
+    rounds = data.draw(st.lists(st.integers(0, 300), min_size=k, max_size=k))
+    policy = Osub(family, g, gamma=gamma, c=c)
+    oracle = Osub(family, g, gamma=gamma, c=c)
+    policy.leader_rounds = list(rounds)
+    oracle.leader_rounds = list(rounds)
+    for _ in range(gamma + 1):
+        assert policy.select(stats) == osub_select_loop(oracle, g, stats)
+    assert policy.leader_rounds == oracle.leader_rounds
+
+
+def test_osub_a_tie_with_the_leader_goes_to_the_lower_index():
+    # Gaussian bounds m + sqrt(2 var b): mean 0 at one pull and mean s/2 at
+    # four pulls both reach s exactly. Exponential bounds past the largest
+    # float are inf for both arms. Either way arm 0 wins the tie, as the
+    # neighbour of leader 1 or as the leader
+    g = line_graph(2)
+    gauss = Gaussian(0.25)
+    s = gauss.kl_upper_inverse(0.0, math.log(2))
+    expo = Exponential()
+    cases = [(gauss, [1, 4], [0.0, s / 2], 1), (expo, [1, 1], [1e300, 1.0001e300], 10**9)]
+    for family, counts, means, rounds in cases:
+        for flip in (False, True):
+            stats = make_stats(counts[::-1], means[::-1]) if flip else make_stats(counts, means)
+            policy = Osub(family, g, gamma=2)
+            policy.leader_rounds = [rounds] * 2
+            assert policy.select(stats) == 0, (family, flip)
 
 
 @pytest.mark.parametrize("rule", ["imed-ub", "imed"])

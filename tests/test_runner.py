@@ -101,6 +101,17 @@ def test_seed_components_must_be_nonnegative():
         seed_sequence(-1, 0, 0)
 
 
+@pytest.mark.parametrize("policy", ["osub", "uts"])
+def test_a_run_leaves_its_seed_as_it_is(policy):
+    # one SeedSequence passed twice gives one log twice; uts also draws
+    # from the policy's own child stream
+    bandit = BanditConfig(Bernoulli(), HILL_MEANS, line_graph(9))
+    seed_seq = seed_sequence(1, 0, 0)
+    first = simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500)
+    assert simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500) == first
+    assert seed_seq.n_children_spawned == 0
+
+
 # ---------------------------------------------------------------------------
 # grids and config parsing
 
