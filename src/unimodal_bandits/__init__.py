@@ -11,7 +11,7 @@ from .env import (
 from .errors import ConfigError, ParameterError, StateError
 from .expfam import Bernoulli, Exponential, Family, Gaussian, make_family
 from .graph import UnimodalGraph, UnimodalityReport, line_graph, validate_unimodal
-from .invariants import ViolationReport, check_step
+from .invariants import ViolationReport, check_log, check_step, transport_kl
 from .policies import (
     Imed,
     ImedUB,
@@ -19,12 +19,10 @@ from .policies import (
     PolicySpec,
     Uts,
     make_policy,
-    transport_kl,
 )
 from .runner import (
     ExperimentConfig,
     RegretCurves,
-    check_log,
     check_trace_dir,
     emit_outputs,
     grid_regret,

@@ -238,11 +238,21 @@ class Gaussian(Family):
         if not (math.isfinite(mu) and math.isfinite(mu_prime)):
             raise ParameterError(f"gaussian means must be finite: {mu!r}, {mu_prime!r}")
         d = mu_prime - mu
-        return d * d / (2.0 * self.sigma2)
+        div = d * d / (2.0 * self.sigma2)
+        if div < math.inf:
+            return div
+        # d * d overflowed: scaled by sigma first, a finite divergence stays finite
+        e = d / self.sigma
+        return 0.5 * e * e
 
     def kl_many(self, mu, mu_prime):
         d = mu_prime - mu
-        return d * d / (2.0 * self.sigma2)
+        div = d * d / (2.0 * self.sigma2)
+        finite = np.isfinite(div)
+        if finite.all():
+            return div
+        e = d / self.sigma
+        return np.where(finite, div, 0.5 * e * e)
 
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
@@ -255,7 +265,10 @@ class Gaussian(Family):
         # closed form; stepping down an ulp at a time absorbs the rounding
         # that can put kl a hair above the budget
         self._check_inverse_args(mu_hat, budget)
-        out = mu_hat + math.sqrt(2.0 * self.sigma2 * budget)
+        width = 2.0 * self.sigma2 * budget
+        # where that product overflows, sigma sqrt(2 budget) may be finite
+        step = math.sqrt(width) if width < math.inf else 2.0 * self.sigma * math.sqrt(0.5 * budget)
+        out = mu_hat + step
         while out < math.inf and self.kl(mu_hat, out) > budget:
             out = math.nextafter(out, mu_hat)
         return out

@@ -21,13 +21,6 @@ from .errors import ParameterError
 from .expfam import guard_band
 
 
-def transport_kl(family, mu_hat, target):
-    """Divergence cost of lifting mu_hat up to target; zero at or above it."""
-    if mu_hat >= target:
-        return 0.0
-    return family.kl(mu_hat, target)
-
-
 def _argmax_lowest(stats):
     """Arm of maximal empirical mean, lowest index on ties."""
     means = stats.means

@@ -10,7 +10,6 @@ the grid or in which order.
 import json
 import math
 import re
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
@@ -19,22 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import BanditConfig, BanditEnv, PullStats
+from .env import BanditConfig, BanditEnv
 from .errors import ConfigError, ParameterError
-from .expfam import guard_band, make_family
+from .expfam import make_family
 from .graph import UnimodalGraph, line_graph
-from .invariants import TOLERANCE, check_step
+from .invariants import AUDITED_RULE, ViolationTally, audit
 from .policies import PolicySpec, make_policy
 
 DEFAULT_GRID_POINTS = 200
-_VIOLATION_SAMPLE_CAP = 20
-# steps check_log audits together: its working memory is a few arrays of
-# _AUDIT_BLOCK x arm_count
-_AUDIT_BLOCK = 1024
 # characters of trace body read_trace decodes with one json.loads
 _READ_CHUNK = 1 << 16
-# the one rule whose pull logs run --check-invariants and check audit
-_AUDITED_RULE = "imed-ub"
 # labels name CSV rows and trace files, so they carry no separators
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -389,139 +382,8 @@ def grid_regret(bandit, actions, grid):
     return np.array(regret), tuple(counts)
 
 
-def _cleared(lhs, rhs, n):
-    """Where check_step's test lhs > rhs + TOLERANCE certainly fails, for
-    sides computed with numpy's log and log1p in place of math's; one side
-    is n times a divergence, n a pull count. The margin must exceed
-    guard_band; an infinite side is the same inf in both, and a NaN margin
-    never clears.
-    """
-    margin = rhs + TOLERANCE - lhs
-    return (margin > guard_band(lhs, rhs, n)) | (margin == math.inf)
-
-
-def check_log(actions, rewards, graph, family, run_id=""):
-    """All invariant violations in one run's pull log, in pull order.
-
-    Every pull after the initialization (the first arm_count pulls) is
-    audited on the statistics before it, as check_step defines. The log
-    is read in blocks of _AUDIT_BLOCK pulls, carrying each arm's count
-    and sum from block to block, so the working memory is a few arrays
-    of _AUDIT_BLOCK x arm_count. A block's pre-pull counts, means and
-    leaders are rebuilt at once, exactly: each arm's sums are accumulated
-    left to right from the carried sum, as PullStats.record adds them.
-    MEMBERSHIP and LB2 are then exact integer tests, and LB1 and UB are
-    evaluated with Family.kl_many. A step on which all four hold, LB1 and
-    UB by more than a guard band (_cleared), has no violation; every
-    other step goes to check_step on a PullStats rebuilt from its row, so
-    check_step writes every report.
-    """
-    k = graph.arm_count
-    total = len(actions)
-    out = []
-    if total <= k:
-        return out
-    # an arm left unpulled by the initialization, or a mean outside the
-    # family's closed domain, infinite or NaN, makes check_step raise or
-    # compare differently: only the steps before bulk_until, the first
-    # that sees one, may clear in bulk
-    bulk_until = total if np.bincount(actions[:k], minlength=k).all() else k
-    # neighborhoods padded to one width; a padding entry always clears
-    width = graph.max_degree()
-    padded = np.array(
-        [[*graph.neighbors(a), *[a] * width][:width] for a in range(k)], dtype=np.intp
-    )
-    padding = np.arange(width) >= np.array([[len(graph.neighbors(a))] for a in range(k)])
-    member = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        member[a, list(graph.candidates(a))] = True
-    counts = np.zeros(k, dtype=np.intp)
-    sums = np.zeros(k)
-
-    for lo in range(0, total, _AUDIT_BLOCK):
-        hi = min(lo + _AUDIT_BLOCK, total)
-        t = np.arange(lo, hi)
-        rows = np.arange(hi - lo)
-        chosen = np.asarray(actions[lo:hi], dtype=np.intp)
-        # arm a's sums after each of its pulls in the block follow its
-        # carried sum in run[seg[a]:seg[a + 1]]; its pull at sorted
-        # position p sits at slot p + a + 1
-        n_block = np.bincount(chosen, minlength=k)
-        seg = np.zeros(k + 1, dtype=np.intp)
-        np.cumsum(n_block + 1, out=seg[1:])
-        order = np.argsort(chosen, kind="stable")
-        slot = np.empty(hi - lo, dtype=np.intp)
-        slot[order] = rows + chosen[order] + 1
-        run = np.empty(hi - lo + k)
-        run[seg[:k]] = sums
-        run[slot] = np.asarray(rewards[lo:hi], dtype=np.float64)
-        # pre-pull counts and means: c[r] and m[r] are PullStats' lists at step lo + r
-        pulled = np.zeros((hi - lo, k), dtype=np.intp)
-        pulled[rows, chosen] = 1
-        local = np.cumsum(pulled, axis=0) - pulled
-        c = counts + local
-        with np.errstate(all="ignore"):
-            for a in np.flatnonzero(n_block).tolist():
-                np.add.accumulate(run[seg[a]:seg[a + 1]], out=run[seg[a]:seg[a + 1]])
-            pre = run[seg[:k] + local]
-            m = pre / np.maximum(c, 1)
-            after = run[slot] / (c[rows, chosen] + 1)
-        inside = np.isfinite(after) & (after >= family.mean_lo) & (after <= family.mean_hi)
-        bulk_until = min(bulk_until, lo + 1 + np.flatnonzero(~inside).min(initial=total))
-        counts = c[-1] + pulled[-1]
-        sums = run[seg[1:] - 1]
-
-        mu_star = m.max(axis=1)
-        lead = np.where(m == mu_star[:, None], c, total).argmin(axis=1)
-        n_chosen = c[rows, chosen]
-        nb = padded[lead]
-        n_nb = c[rows[:, None], nb]
-        with np.errstate(all="ignore"):
-            lb1 = n_nb * family.kl_many(m[rows[:, None], nb], mu_star[:, None]) + np.log(n_nb)
-            ub = n_chosen * family.kl_many(m[rows, chosen], mu_star)
-            # the initialization is not audited
-            clear = (t < k) | (
-                (t < bulk_until)
-                & member[lead, chosen]
-                & (n_chosen <= c[rows, lead])
-                & (_cleared(np.log(n_chosen)[:, None], lb1, n_nb) | padding[lead]).all(axis=1)
-                & _cleared(ub, np.log(t), n_chosen)
-            )
-        for r in np.flatnonzero(~clear).tolist():
-            stats = PullStats(k)
-            stats.counts = c[r].tolist()
-            stats.sums = pre[r].tolist()
-            stats.means = m[r].tolist()
-            stats.t = lo + r
-            out.extend(check_step(stats, actions[lo + r], graph, family, run_id))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # experiment grid
-
-@dataclass
-class ViolationTally:
-    """Invariant violations of many runs, added in (policy, run) order:
-    the count per check id and the first _VIOLATION_SAMPLE_CAP reports."""
-
-    per_check: Counter = field(default_factory=Counter)
-    first: list = field(default_factory=list)
-
-    @classmethod
-    def of(cls, violations):
-        """The tally of one list of violation reports."""
-        return cls(Counter(v.check for v in violations), violations[:_VIOLATION_SAMPLE_CAP])
-
-    @property
-    def count(self):
-        return sum(self.per_check.values())
-
-    def add(self, other):
-        """Count another tally's violations after this one's."""
-        self.per_check.update(other.per_check)
-        self.first.extend(other.first[: _VIOLATION_SAMPLE_CAP - len(self.first)])
-
 
 def _trace_cell(spec, run_idx):
     """(file name, header, run id) of the trace of policy spec's run
@@ -533,17 +395,6 @@ def _trace_cell(spec, run_idx):
         {"policy": label, "rule": spec.name, "run": run_idx},
         f"{label}/run{run_idx}",
     )
-
-
-def _audit(rule, actions, rewards, graph, family, run_id):
-    """(ViolationTally, pulls checked) of one run's pull log under rule.
-    The per-step inequalities are guarantees of the structured
-    minimum-index rule only; a baseline's log is not audited and checks
-    no pull."""
-    if rule != _AUDITED_RULE:
-        return ViolationTally(), 0
-    tally = ViolationTally.of(check_log(actions, rewards, graph, family, run_id))
-    return tally, len(actions) - graph.arm_count
 
 
 def _map_cells(cfg, fn, *args):
@@ -579,7 +430,7 @@ def _run_pair(cfg, bandit, check, policy_idx, run_idx):
         write_trace(Path(cfg.out_dir) / "traces" / name, header, actions, rewards)
     violations = ViolationTally()
     if check:
-        violations, _ = _audit(spec.name, actions, rewards, bandit.graph, bandit.family, run_id)
+        violations, _ = audit(spec.name, actions, rewards, bandit.graph, bandit.family, run_id)
     return regret, counts, violations
 
 
@@ -870,7 +721,7 @@ def _check_cell(cfg, trace_dir, bandit, policy_idx, run_idx):
             f"{f}:{min(len(actions), cfg.horizon) + 2}: {len(actions)} pulls, "
             f"but config.json's horizon is {cfg.horizon}"
         )
-    return _audit(header["rule"], actions, rewards, bandit.graph, bandit.family, run_id)
+    return audit(header["rule"], actions, rewards, bandit.graph, bandit.family, run_id)
 
 
 def check_trace_dir(path):
@@ -881,7 +732,7 @@ def check_trace_dir(path):
     must be exactly one {label}__run{r:05d}.jsonl per policy label and run
     of the config, each with the header run writes for it and exactly the
     config's horizon of pulls. Each rule is the config's, never a
-    header's: every imed-ub trace is audited (_audit), the other rules'
+    header's: every imed-ub trace is audited (invariants.audit), the other rules'
     traces are read but not checked. The traces are read on the config's
     workers, as run_experiment simulates them (_map_cells). Returns the
     ViolationTally, added in (policy, run) order as run_experiment adds
@@ -899,7 +750,7 @@ def check_trace_dir(path):
     found = {f.name for f in trace_dir.glob("*.jsonl")}
     if not found:
         raise ConfigError(f"{trace_dir}: no trace files (*.jsonl) found")
-    if all(spec.name != _AUDITED_RULE for spec in cfg.policies):
+    if all(spec.name != AUDITED_RULE for spec in cfg.policies):
         raise ConfigError(f"{trace_dir}: no imed-ub traces to check")
     names = [_trace_cell(spec, run)[0] for spec in cfg.policies for run in range(cfg.runs)]
     extra = sorted(found - set(names))

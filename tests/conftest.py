@@ -87,7 +87,7 @@ def variance_sup(family, lo, hi):
 
 
 def replay_check_log(actions, rewards, graph, family, run_id=""):
-    """Reference audit for runner.check_log: the log replayed through a
+    """Reference audit for invariants.check_log: the log replayed through a
     fresh PullStats, with check_step run on the statistics before every
     pull after the initialization (the first arm_count pulls)."""
     k = graph.arm_count

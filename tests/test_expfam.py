@@ -22,6 +22,11 @@ from unimodal_bandits.expfam import guard_band
 from conftest import FAMILIES, bisect_kl_upper_inverse, variance_sup
 
 EPS = sys.float_info.epsilon
+# a variance at which the squared difference of two means overflows long
+# before their divergence does
+WIDE = Gaussian(1e300)
+KL_FAMILIES = [*FAMILIES, WIDE]
+KL_IDS = [*(f.name for f in FAMILIES), "gaussian-1e300"]
 
 
 def mean_grid(family, n=12, pad=0.0):
@@ -91,6 +96,8 @@ def test_kl_gaussian_unit_variance_half():
 
 def test_kl_gaussian_uses_configured_variance():
     assert Gaussian(0.25).kl(0.20, 0.25) == pytest.approx(0.05**2 / 0.5, abs=1e-15)
+    # the difference squared overflows, the divergence does not
+    assert WIDE.kl(0.0, 1e155) == pytest.approx(5e9, rel=1e-15)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
@@ -290,6 +297,13 @@ def test_inverse_zero_budget_is_identity(family):
 
 def test_inverse_gaussian_analytic():
     assert Gaussian(1.0).kl_upper_inverse(0.0, 0.5) == pytest.approx(1.0, abs=1e-9)
+    # 2 variance budget overflows, the root does not
+    out = WIDE.kl_upper_inverse(0.0, 1e10)
+    assert out == pytest.approx(math.sqrt(2.0) * 1e155, rel=1e-15)
+    assert WIDE.kl(0.0, out) <= 1e10
+    # and where 2 budget itself overflows
+    out = Gaussian(1.0).kl_upper_inverse(0.0, 1e308)
+    assert out == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
 
 
 def test_inverse_bernoulli_round_trip_of_kl():
@@ -375,10 +389,10 @@ def contract_means(family):
 
 
 INVERSES = [
-    *((f.name, f, f.kl_upper_inverse) for f in FAMILIES),
+    *((name, f, f.kl_upper_inverse) for name, f in zip(KL_IDS, KL_FAMILIES)),
     *(
-        (f"{f.name}-bisection", f, lambda mu, b, f=f: bisect_kl_upper_inverse(f, mu, b))
-        for f in FAMILIES
+        (f"{name}-bisection", f, lambda mu, b, f=f: bisect_kl_upper_inverse(f, mu, b))
+        for name, f in zip(KL_IDS, KL_FAMILIES)
     ),
 ]
 
@@ -475,7 +489,7 @@ DOMAIN_MEANS = {
 }
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("family", KL_FAMILIES, ids=KL_IDS)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_kl_many_matches_kl(family, data):

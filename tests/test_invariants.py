@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import unimodal_bandits.runner as runner
+import unimodal_bandits.invariants as invariants
 from unimodal_bandits import (
     BanditConfig,
     Bernoulli,
@@ -161,7 +161,7 @@ def test_check_log_matches_replay_on_unstructured_runs(family):
 def test_check_log_blocks_split_anywhere(monkeypatch):
     # with 5-step blocks, steps that must go to check_step fall on the
     # first and the last step of a block
-    monkeypatch.setattr(runner, "_AUDIT_BLOCK", 5)
+    monkeypatch.setattr(invariants, "_AUDIT_BLOCK", 5)
     bandit = hill_bandit(BERN)
     actions, rewards = simulate_policy_run(
         bandit, PolicySpec("imed"), seed_sequence(3, 0, 0), 1500
@@ -250,9 +250,9 @@ def test_check_log_matches_replay_on_random_logs(data):
     )
     # blocks as short as two pulls carry every arm's count and sum across
     # many block boundaries
-    block = data.draw(st.sampled_from([2, 3, 7, runner._AUDIT_BLOCK]))
+    block = data.draw(st.sampled_from([2, 3, 7, invariants._AUDIT_BLOCK]))
     want = replay_check_log(actions, rewards, graph, family, "x")
-    with mock.patch.object(runner, "_AUDIT_BLOCK", block):
+    with mock.patch.object(invariants, "_AUDIT_BLOCK", block):
         assert check_log(actions, rewards, graph, family, "x") == want
 
 
@@ -277,12 +277,12 @@ def audit_outcome(audit, family, actions, rewards):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("block", [2, runner._AUDIT_BLOCK])
+@pytest.mark.parametrize("block", [2, invariants._AUDIT_BLOCK])
 @pytest.mark.parametrize("case", sorted(FAULTY_LOGS))
 def test_check_log_raises_where_replay_does(monkeypatch, case, block):
     # with two-pull blocks, a bad mean found in one block keeps the later
     # blocks from clearing in bulk
-    monkeypatch.setattr(runner, "_AUDIT_BLOCK", block)
+    monkeypatch.setattr(invariants, "_AUDIT_BLOCK", block)
     family, actions, rewards = FAULTY_LOGS[case]
     want = audit_outcome(replay_check_log, family, actions, rewards)
     assert audit_outcome(check_log, family, actions, rewards) == want

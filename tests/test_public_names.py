@@ -87,3 +87,19 @@ def test_every_private_module_level_name_is_used_in_the_package():
 
 def test_every_public_method_is_used_in_the_package():
     assert unused_public_methods() == []
+
+
+# the checks and the bulk audit that decide whether a pull log is clean
+AUDIT_NAMES = {"check_step", "check_log", "transport_kl", "TOLERANCE", "_cleared"}
+
+
+def test_only_invariants_reads_the_audit():
+    # the rest of the package reaches the audit through invariants.audit;
+    # __init__'s re-exports are imports, which used_names does not count
+    readers = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        if path.stem != "invariants"
+        for name in used_names(path) & AUDIT_NAMES
+    }
+    assert readers == set()
