@@ -21,6 +21,10 @@ BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
 # relative guard of guard_band, about 64 eps
 _GUARD = 1.5e-14
+# above this, 2 x overflows
+_HALF_MAX = sys.float_info.max / 2
+# standard draws of reward_bound, in standard deviations or means
+_DRAW_SPAN = 64.0
 
 
 def guard_band(lhs, rhs, n):
@@ -83,6 +87,10 @@ class Family:
 
     def sample_many(self, mu, rng, size):
         """size i.i.d. reward draws from the member with mean mu."""
+        raise NotImplementedError
+
+    def reward_bound(self, mu):
+        """A bound on |x| for every reward x that sample_many draws at mean mu."""
         raise NotImplementedError
 
     def posterior_mean_sample(self, count, total, rng):
@@ -206,6 +214,9 @@ class Bernoulli(Family):
         self.require_mean(mu)
         return (rng.random(size) < mu).astype(np.float64)
 
+    def reward_bound(self, mu):
+        return 1.0
+
     def posterior_mean_sample(self, count, total, rng):
         return rng.beta(1.0 + total, 1.0 + count - total)
 
@@ -239,14 +250,18 @@ class Gaussian(Family):
             raise ParameterError(f"gaussian means must be finite: {mu!r}, {mu_prime!r}")
         d = mu_prime - mu
         div = d * d / (2.0 * self.sigma2)
-        if div < math.inf:
+        if 0.0 < div < math.inf or (div == 0.0 and self.sigma2 <= _HALF_MAX):
             return div
-        # d * d overflowed: scaled by sigma first, a finite divergence stays finite
+        # d * d or 2 var overflowed: scaled by sigma first, a finite
+        # divergence stays finite and a positive one positive
         e = d / self.sigma
         return 0.5 * e * e
 
     def kl_many(self, mu, mu_prime):
         d = mu_prime - mu
+        if self.sigma2 > _HALF_MAX:
+            e = d / self.sigma
+            return 0.5 * e * e
         div = d * d / (2.0 * self.sigma2)
         finite = np.isfinite(div)
         if finite.all():
@@ -257,6 +272,10 @@ class Gaussian(Family):
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return rng.normal(mu, self.sigma, size)
+
+    def reward_bound(self, mu):
+        # numpy's ziggurat draws no standard normal beyond about 12.3
+        return abs(mu) + _DRAW_SPAN * self.sigma
 
     def posterior_mean_sample(self, count, total, rng):
         return rng.normal(total / count, math.sqrt(self.sigma2 / count))
@@ -320,6 +339,10 @@ class Exponential(Family):
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)
         return rng.exponential(mu, size)
+
+    def reward_bound(self, mu):
+        # numpy's ziggurat draws no standard exponential beyond about 44.4
+        return _DRAW_SPAN * mu
 
     def posterior_mean_sample(self, count, total, rng):
         # conjugate Gamma posterior on the rate; invert one rate draw

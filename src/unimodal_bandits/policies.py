@@ -6,7 +6,9 @@ UTS draws from its own stream on every call.
 
 IMED-UB and IMED cache per-arm index floors and skip the arms whose floor
 proves they cannot win. A floor is keyed on its arm's count and mean, so
-it holds for any sequence of PullStats, in any order.
+it holds for any sequence of PullStats, in any order. Their certify()
+proves from the same floors that a run of decisions all pick the leader,
+so a simulation can apply the run in bulk.
 
 OSUB solves the KL upper inverse exactly for the leader only. Every other
 candidate is skipped when one divergence proves its bound below the best
@@ -42,18 +44,36 @@ class _IndexRule:
     least the floor.
     """
 
-    def __init__(self, family, arm_count):
+    def __init__(self, family, cands):
+        # cands[a]: the candidates when arm a leads
+        arm_count = len(cands)
         self.family = family
+        self._cands = cands
         self._key_n = [0] * arm_count
         self._key_m = [0.0] * arm_count
         self._ref = [0.0] * arm_count
         self._cut = [math.nan] * arm_count
 
+    def _store_floor(self, a, n, x, ref):
+        """Store and return the cut of arm a's floor at ref, for the count n
+        and the mean x <= ref it is keyed on."""
+        floor = math.log(n) + n * self.family.kl(x, ref)
+        self._key_n[a] = n
+        self._key_m[a] = x
+        self._ref[a] = ref
+        # for any log count below the floor, the band of (floor, log
+        # count) is at most this one
+        cut = floor - guard_band(floor, floor, n)
+        self._cut[a] = cut
+        return cut
+
     def _index_argmin(self, stats, cands, mu_star, n_lead):
         """Arm of minimal index n KL(mean, mu_star) + log n among cands,
         lowest index on ties. The leader, of count n_lead, is among them,
         so the minimum is at most log n_lead: an arm whose floor clears that
-        is skipped, and every other arm is evaluated exactly.
+        is skipped, and every other arm is evaluated exactly. A mu_star
+        outside the finite means, which an overflowed sum gives, skips no
+        arm, so that kl refuses it whatever the floors hold.
         """
         counts = stats.counts
         means = stats.means
@@ -63,7 +83,7 @@ class _IndexRule:
         cuts = self._cut
         kl = self.family.kl
         log = math.log
-        log_lead = log(n_lead)
+        log_lead = log(n_lead) if mu_star < math.inf else math.inf
         best = cands[0]
         best_val = math.inf
         for a in cands:
@@ -71,23 +91,57 @@ class _IndexRule:
             x = means[a]
             if cuts[a] > log_lead and mu_star >= refs[a] and key_n[a] == n and key_m[a] == x:
                 continue
-            v = log_n = log(n)
+            v = log(n)
             if x < mu_star:
                 v += n * kl(x, mu_star)
                 if v > log_lead:
                     # a ref rounded below the mean would overstate the floor
-                    ref = max(x, mu_star - _FLOOR_SLACK * (mu_star - x))
-                    floor = log_n + n * kl(x, ref)
-                    key_n[a] = n
-                    key_m[a] = x
-                    refs[a] = ref
-                    # for any log_lead below the floor, the band of
-                    # (floor, log_lead) is at most this one
-                    cuts[a] = floor - guard_band(floor, floor, n)
+                    self._store_floor(a, n, x, max(x, mu_star - _FLOOR_SLACK * (mu_star - x)))
             if v < best_val:
                 best_val = v
                 best = a
         return best
+
+    def certify(self, stats, lead, k, m_min):
+        """Whether the rule picks lead on each of the next k decisions,
+        given that lead keeps a strict maximum of the empirical means
+        throughout and that its mean is at least m_min on each of them.
+
+        Proof. On decision i, i < k, lead has count n_L + i and mean
+        mu* = m_i >= m_min, and no other arm reaches mu*. So lead is the
+        leader, whatever the tie rule, and Imed's count of a best arm is
+        lead's. lead's index is log(n_L + i) <= log(n_L + k - 1). Every
+        other candidate a has mean x_a < m_min, and KL(x_a, .) does not
+        decrease above x_a, so its index log n_a + n_a KL(x_a, mu*) is at
+        least its floor at m_min. The check below asks each floor's cut,
+        the floor less its rounding band, to clear log(n_L + k - 1), the
+        skip test of _index_argmin with this log count: the band covers
+        kl evaluated at m_min instead of at mu*, and the ulp by which log
+        may fail to rise with the count. So a's index, as _index_argmin
+        computes it, is above lead's on every decision: the argmin is
+        lead alone, and the rule picks it. A cached floor serves when its
+        key matches and its ref is at most m_min; every other floor is
+        evaluated at m_min, one divergence, and stored. A candidate whose
+        mean is not finite fails the check without a divergence, so that
+        select meets it as it would step by step: certify never raises.
+        """
+        counts = stats.counts
+        means = stats.means
+        key_n = self._key_n
+        key_m = self._key_m
+        refs = self._ref
+        cuts = self._cut
+        log_last = math.log(counts[lead] + k - 1)
+        for a in self._cands[lead]:
+            if a == lead:
+                continue
+            n = counts[a]
+            x = means[a]
+            if cuts[a] > log_last and m_min >= refs[a] and key_n[a] == n and key_m[a] == x:
+                continue
+            if not -math.inf < x or not self._store_floor(a, n, x, m_min) > log_last:
+                return False
+        return True
 
 
 class ImedUB(_IndexRule):
@@ -99,8 +153,7 @@ class ImedUB(_IndexRule):
     """
 
     def __init__(self, family, graph):
-        super().__init__(family, graph.arm_count)
-        self._cands = tuple(graph.candidates(a) for a in range(graph.arm_count))
+        super().__init__(family, tuple(graph.candidates(a) for a in range(graph.arm_count)))
 
     def select(self, stats):
         lead = leader(stats)
@@ -113,16 +166,14 @@ class Imed(_IndexRule):
     """Unstructured minimum-index rule over all arms."""
 
     def __init__(self, family, arm_count):
-        super().__init__(family, arm_count)
-        self._cands = tuple(range(arm_count))
+        super().__init__(family, (tuple(range(arm_count)),) * arm_count)
 
     def select(self, stats):
         stats.require_initialized()
         means = stats.means
         mu_star = max(means)
-        return self._index_argmin(
-            stats, self._cands, mu_star, stats.counts[means.index(mu_star)]
-        )
+        lead = means.index(mu_star)
+        return self._index_argmin(stats, self._cands[lead], mu_star, stats.counts[lead])
 
 
 class Osub:

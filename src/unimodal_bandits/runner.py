@@ -10,6 +10,7 @@ the grid or in which order.
 import json
 import math
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
@@ -26,6 +27,9 @@ from .invariants import AUDITED_RULE, ViolationTally, audit
 from .policies import PolicySpec, make_policy
 
 DEFAULT_GRID_POINTS = 200
+# the first leader run a simulation tries, and its longest
+_LEADER_RUN_START = 4
+_LEADER_RUN_CAP = 4096
 # characters of trace body read_trace decodes with one json.loads
 _READ_CHUNK = 1 << 16
 # labels name CSV rows and trace files, so they carry no separators
@@ -267,6 +271,14 @@ def parse_config(data):
         raise ConfigError("workers: must be an integer >= 1")
 
     BanditConfig(family, means, graph)
+    # a run adds up to horizon rewards of one arm, and their sum must stay
+    # finite for its empirical mean to be one
+    for i, m in enumerate(means):
+        if horizon * family.reward_bound(m) > sys.float_info.max:
+            raise ConfigError(
+                f"means[{i}]: the sum of {horizon} rewards at mean {m!r} can "
+                f"overflow; use a smaller mean or horizon"
+            )
     return ExperimentConfig(
         kind=kind.lower(),
         variance=variance,
@@ -328,6 +340,12 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
     """One full run of spec on the BanditConfig bandit: the forced
     initialization 0, 1, ..., K-1, then the policy's pulls up to horizon.
 
+    IMED-UB and IMED decide most steps by pulling the leader. After each
+    of their select calls, BanditEnv.pull_leader_run tries to pull the
+    leader several times in a row, and does so only where the rule's
+    certify proves select would pick it every time. The log is the one
+    select would give step by step.
+
     Returns the run's pull log (actions, rewards), two lists of horizon
     entries; regret, counts, traces and checks are derived from it. Every
     arm gets its own child stream of seed_seq (the policy gets one more
@@ -352,12 +370,25 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
     stats = env.stats
     select = policy.select
     pull = env.pull
-    actions = []
-    rewards = []
-    for t in range(horizon):
-        arm = t if t < n else select(stats)
+    actions = list(range(n))
+    rewards = [pull(arm) for arm in actions]
+    # rules with a certificate try a leader run after each select; a run
+    # that is pulled in full doubles the next try
+    certify = getattr(policy, "certify", None)
+    run = _LEADER_RUN_START
+    t = n
+    while t < horizon:
+        arm = select(stats)
         actions.append(arm)
         rewards.append(pull(arm))
+        t += 1
+        if certify is not None and t < horizon:
+            lead, served = env.pull_leader_run(certify, min(run, horizon - t))
+            k = len(served)
+            actions += [lead] * k
+            rewards += served
+            t += k
+            run = min(2 * run, _LEADER_RUN_CAP) if k == run else _LEADER_RUN_START
     return actions, rewards
 
 

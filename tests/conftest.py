@@ -10,6 +10,7 @@ import pytest
 
 from unimodal_bandits import (
     BanditConfig,
+    BanditEnv,
     Bernoulli,
     ConfigError,
     Exponential,
@@ -18,6 +19,7 @@ from unimodal_bandits import (
     PullStats,
     check_step,
     line_graph,
+    make_policy,
 )
 from unimodal_bandits.expfam import BISECT_MAX_ITER, BISECT_TOL
 
@@ -240,6 +242,37 @@ def oracle_select(rule, family, graph):
                 stats, family, range(graph.arm_count), max(stats.means)
             )
     return select
+
+
+def simulate_loop(bandit, spec, seed_seq, horizon, select=None):
+    """Reference runner.simulate_policy_run: the same streams, then one
+    select and one BanditEnv.pull per step, with no leader runs.
+    select(policy, stats), when given, decides in place of the policy's
+    own select."""
+    n = bandit.arm_count
+    children = [
+        np.random.SeedSequence(
+            seed_seq.entropy, spawn_key=seed_seq.spawn_key + (i,), pool_size=seed_seq.pool_size
+        )
+        for i in range(n + 1)
+    ]
+    env = BanditEnv(bandit, [np.random.default_rng(c) for c in children[:n]])
+    policy = make_policy(
+        spec, bandit.family, bandit.graph, rng=np.random.default_rng(children[n])
+    )
+    stats = env.stats
+    actions = []
+    rewards = []
+    for t in range(horizon):
+        if t < n:
+            arm = t
+        elif select is None:
+            arm = policy.select(stats)
+        else:
+            arm = select(policy, stats)
+        actions.append(arm)
+        rewards.append(env.pull(arm))
+    return actions, rewards
 
 
 def make_stats(counts, means):

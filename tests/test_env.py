@@ -167,6 +167,49 @@ def test_pull_rejects_bad_arm():
         env.pull(-1)
 
 
+@pytest.mark.parametrize("family", [Bernoulli(), Gaussian(0.25)], ids=lambda f: f.name)
+def test_a_leader_run_serves_and_records_what_its_pulls_would(family):
+    # with a certificate that always vouches, a run pulls the leader while
+    # its mean stays the strict maximum; one env takes runs, the other
+    # pulls step by step, and statistics and rewards must agree bit for
+    # bit. Runs of 700 cross the streams' 512-draw refills
+    means = [0.3, 0.5, 0.45]
+    bulk, steps = make_env(3, means, family), make_env(3, means, family)
+    for arm in range(3):
+        assert bulk.pull(arm) == steps.pull(arm)
+    served_runs = 0
+    for i in range(300):
+        j = (5, 700)[i % 2]
+        lead, served = bulk.pull_leader_run(lambda *args: True, j)
+        stats = steps.stats
+        want = []
+        while len(want) < j and stats.means.count(max(stats.means)) == 1:
+            best = stats.means.index(max(stats.means))
+            if want and best != lead:
+                break
+            want.append(steps.pull(best))
+        assert served == want
+        served_runs += bool(served)
+        for name in ("counts", "sums", "means", "t"):
+            assert getattr(bulk.stats, name) == getattr(stats, name), (i, name)
+        assert bulk.pull(i % 3) == steps.pull(i % 3)
+    assert served_runs > 100
+
+
+def test_a_leader_run_pulls_nothing_without_a_strict_leader_or_a_certificate():
+    env, twin = make_env(1, [0.3, 0.5, 0.45]), make_env(1, [0.3, 0.5, 0.45])
+    for arm in range(3):
+        env.pull(arm)
+        twin.pull(arm)
+    env.stats.means[:] = [0.5, 0.5, 0.2]
+    assert env.pull_leader_run(lambda *args: True, 10) == (None, [])
+    env.stats.means[:] = [0.5, 0.6, 0.2]
+    assert env.pull_leader_run(lambda *args: False, 10) == (1, [])
+    assert env.stats.t == 3
+    # the rewards peeked for the refused run are served next
+    assert env.pull_leader_run(lambda *args: True, 1) == (1, [twin.pull(1)])
+
+
 def test_optimal_pull_adds_no_pseudo_regret(hill_bernoulli):
     regret, counts = grid_regret(hill_bernoulli, [4], [1])
     assert regret.tolist() == [0.0] and counts == (0, 0, 0, 0, 1, 0, 0, 0, 0)

@@ -25,8 +25,10 @@ EPS = sys.float_info.epsilon
 # a variance at which the squared difference of two means overflows long
 # before their divergence does
 WIDE = Gaussian(1e300)
-KL_FAMILIES = [*FAMILIES, WIDE]
-KL_IDS = [*(f.name for f in FAMILIES), "gaussian-1e300"]
+# and one at which twice the variance overflows
+HUGE = Gaussian(1.5e308)
+KL_FAMILIES = [*FAMILIES, WIDE, HUGE]
+KL_IDS = [*(f.name for f in FAMILIES), "gaussian-1e300", "gaussian-1.5e308"]
 
 
 def mean_grid(family, n=12, pad=0.0):
@@ -98,6 +100,9 @@ def test_kl_gaussian_uses_configured_variance():
     assert Gaussian(0.25).kl(0.20, 0.25) == pytest.approx(0.05**2 / 0.5, abs=1e-15)
     # the difference squared overflows, the divergence does not
     assert WIDE.kl(0.0, 1e155) == pytest.approx(5e9, rel=1e-15)
+    # twice the variance overflows, the divergence does not round to 0
+    assert HUGE.kl(0.0, 1e150) == pytest.approx(1e-8 / 3.0, rel=1e-15)
+    assert HUGE.kl_many(np.array([0.0]), np.array([1e150]))[0] == HUGE.kl(0.0, 1e150)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
@@ -304,6 +309,10 @@ def test_inverse_gaussian_analytic():
     # and where 2 budget itself overflows
     out = Gaussian(1.0).kl_upper_inverse(0.0, 1e308)
     assert out == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+    # and where 2 variance itself overflows: kl at the root is the budget
+    out = HUGE.kl_upper_inverse(0.0, 1.0)
+    assert out == pytest.approx(math.sqrt(2.0) * HUGE.sigma, rel=1e-15)
+    assert HUGE.kl(0.0, out) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_inverse_bernoulli_round_trip_of_kl():

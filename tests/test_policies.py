@@ -38,6 +38,7 @@ from conftest import (
     make_stats,
     oracle_select,
     osub_select_loop,
+    simulate_loop,
 )
 
 
@@ -119,25 +120,20 @@ PARITY_BANDITS = {
     "grid36": lambda: load_config(GRID36).bandit_config(),
 }
 
-RULE_CLASS = {"imed-ub": ImedUB, "imed": Imed, "osub": Osub}
-
-
 def oracle_log(bandit, spec, seed_seq, horizon):
-    """simulate_policy_run with the rule's select() replaced by conftest's
-    reference loops, which evaluate every candidate's index or KL upper
-    inverse exactly."""
+    """conftest's per-step simulation loop, with the rule's select()
+    replaced by conftest's reference loops, which evaluate every
+    candidate's index or KL upper inverse exactly."""
     graph = bandit.graph
     if spec.name == "osub":
-        def select(self, stats):
-            return osub_select_loop(self, graph, stats)
+        def select(policy, stats):
+            return osub_select_loop(policy, graph, stats)
     else:
         loop = oracle_select(spec.name, bandit.family, graph)
 
-        def select(self, stats):
+        def select(policy, stats):
             return loop(stats)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RULE_CLASS[spec.name], "select", select)
-        return simulate_policy_run(bandit, spec, seed_seq, horizon)
+    return simulate_loop(bandit, spec, seed_seq, horizon, select)
 
 
 def assert_matches_oracle(bandit, rule, run, horizon, spec=None):
@@ -158,20 +154,23 @@ def test_index_rules_match_the_oracle_loops(name, rule):
 
 @st.composite
 def unimodal_bandits(draw):
-    """A line or a random tree with means falling with the distance to a
-    peak, so arms at one distance share their mean; Bernoulli means sit
-    near 0 or near 1."""
+    """A line, a random tree or a tree with one more edge, which closes a
+    cycle, with means falling with the distance to a peak, so arms at one
+    distance share their mean; Bernoulli means sit near 0 or near 1."""
     k = draw(st.integers(2, 7))
     if draw(st.booleans()):
         edges = [(i - 1, i) for i in range(1, k)]
     else:
         edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+        if k > 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from([(a, b) for b in range(k) for a in range(b)]))
+            edges.append((a, b))
     graph = UnimodalGraph(k, edges)
     peak = draw(st.integers(0, k - 1))
     dist = {peak: 0}
     frontier = [peak]
     while frontier:
-        a = frontier.pop()
+        a = frontier.pop(0)
         for b in graph.neighbors(a):
             if b not in dist:
                 dist[b] = dist[a] + 1
@@ -188,11 +187,88 @@ def unimodal_bandits(draw):
     return BanditConfig(family, means, graph)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(bandit=unimodal_bandits(), rule=st.sampled_from(["imed-ub", "imed"]),
-       run=st.integers(0, 2**16))
-def test_index_rules_match_the_oracle_loops_on_drawn_instances(bandit, rule, run):
-    assert_matches_oracle(bandit, rule, run, 600)
+       run=st.integers(0, 2**16), horizon=st.integers(7, 900))
+def test_index_rules_match_the_oracle_loops_on_drawn_instances(bandit, rule, run, horizon):
+    # most horizons end inside a leader run that simulate_policy_run
+    # shortens to fit
+    assert_matches_oracle(bandit, rule, run, horizon)
+
+
+@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
+@pytest.mark.parametrize("name", ["bernoulli-hill", "gaussian-hill", "exponential-hill"])
+def test_leader_runs_match_the_per_step_loop(name, rule):
+    # 50 runs of the acceptance study's seed, run 420 among them, against
+    # conftest's loop with the rule's own select on every step
+    bandit = PARITY_BANDITS[name]()
+    spec = PolicySpec(rule)
+    for run in [*range(49), 420]:
+        seed_seq = seed_sequence(20260810, run, 0)
+        log = simulate_policy_run(bandit, spec, seed_seq, 5000)
+        assert log == simulate_loop(bandit, spec, seed_seq, 5000), run
+
+
+def test_imed_ub_decides_most_hill_steps_in_leader_runs(monkeypatch):
+    # the mechanism behind the speed of imed-ub: on the Bernoulli hill at
+    # T = 20000 select decides 1322 steps, 6.6%, and leader runs the rest
+    calls = []
+    select = ImedUB.select
+
+    def counted(self, stats):
+        calls.append(stats.t)
+        return select(self, stats)
+
+    monkeypatch.setattr(ImedUB, "select", counted)
+    bandit = PARITY_BANDITS["bernoulli-hill"]()
+    simulate_policy_run(bandit, PolicySpec("imed-ub"), seed_sequence(20260810, 0, 0), 20000)
+    assert len(calls) <= 0.2 * (20000 - 9)
+
+
+@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
+@pytest.mark.parametrize(
+    "family, means",
+    [
+        (Gaussian(1e300), [0.999e306, 1e306, 0.999e306]),
+        (Exponential(), [0.5e306, 1e306, 0.5e306]),
+    ],
+    ids=["gaussian", "exponential"],
+)
+def test_a_sum_that_overflows_stops_a_leader_run(family, means, rule):
+    # the leader's sum overflows after about 180 pulls, inside a leader
+    # run. The step-by-step loop raises on the first select that reads the
+    # infinite mean, and a run must raise there too, never run on to the
+    # horizon past it
+    bandit = BanditConfig(family, means, line_graph(3))
+    spec = PolicySpec(rule)
+    horizons = range(100, 400, 3)
+    raised = 0
+    for horizon in horizons:
+        seed_seq = seed_sequence(7, horizon, 0)
+        got = simulate_or_error(simulate_policy_run, bandit, spec, seed_seq, horizon)
+        assert got == simulate_or_error(simulate_loop, bandit, spec, seed_seq, horizon), horizon
+        raised += isinstance(got, str)
+    assert 0 < raised < len(horizons)
+
+
+@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
+def test_certify_leaves_a_mean_that_is_not_finite_to_select(rule):
+    # a neighbour whose sum fell to -inf or became nan fails the
+    # certificate instead of raising, so select, step by step, decides
+    # what such a mean does
+    policy = make_policy(PolicySpec(rule), Gaussian(1.0), line_graph(3))
+    for bad in (-math.inf, math.nan):
+        stats = make_stats([5, 5, 5], [bad, 1.0, 0.0])
+        assert policy.certify(stats, 1, 3, 1.0) is False
+    assert policy.certify(make_stats([5, 5, 5], [0.0, 1.0, 0.0]), 1, 3, 1.0) is True
+
+
+def simulate_or_error(simulate, *args):
+    """The log simulate returns, or the message of the ParameterError it raises."""
+    try:
+        return simulate(*args)
+    except ParameterError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_BANDITS))

@@ -910,6 +910,46 @@ def test_cli_refuses_a_neighbor_whose_divergence_rounds_to_zero(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "theory"])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+def test_cli_refuses_a_mean_whose_reward_sums_can_overflow(tmp_path, capsys, kind, command):
+    # the sums of rewards near the largest float overflow, and the run
+    # would stop on an infinite mean that names no field
+    cfg_path = write_cli_config(
+        tmp_path, family=kind, means=[1e308, 1.7e308, 1e308], grid=[100], horizon=100
+    )
+    assert cli_main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: means[0]: the sum of 100 rewards at mean 1e+308 can overflow")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "family, span",
+    [({"kind": "gaussian", "variance": 1e-300}, 1.0), ({"kind": "exponential"}, 64.0)],
+    ids=["gaussian", "exponential"],
+)
+def test_config_admits_large_means_whose_sums_stay_finite(family, span):
+    # either side of the mean at which 100 rewards can first overflow: a
+    # Gaussian reward lies within 64 standard deviations of the mean, an
+    # Exponential one below 64 means
+    bound = sys.float_info.max / 100 / span
+    good = {"family": family, "policies": ["imed"], "horizon": 100}
+    parse_config({**good, "means": [bound / 2, bound * 0.9, bound / 2]})
+    with pytest.raises(ConfigError, match=r"^means\[1\]: "):
+        parse_config({**good, "means": [bound / 2, bound * 1.1, bound / 2]})
+
+
+def test_cli_theory_on_a_variance_above_half_the_largest_float(tmp_path, capsys):
+    # twice the variance overflows; the divergence of the neighbours is
+    # still about 3e-9, not 0
+    cfg_path = write_cli_config(
+        tmp_path, family={"kind": "gaussian", "variance": 1.5e308}, means=[0.0, 1e150, 0.0]
+    )
+    assert cli_main(["theory", str(cfg_path)]) == 0
+    assert "c_nu" in capsys.readouterr().out
+
+
 def test_cli_overrides(tmp_path, capsys):
     # a {"points": N} grid follows the overriding horizon
     cfg_path = write_cli_config(tmp_path, grid={"points": 20})
