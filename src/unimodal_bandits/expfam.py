@@ -253,21 +253,26 @@ class Gaussian(Family):
         if 0.0 < div < math.inf or (div == 0.0 and self.sigma2 <= _HALF_MAX):
             return div
         # d * d or 2 var overflowed: scaled by sigma first, a finite
-        # divergence stays finite and a positive one positive
-        e = d / self.sigma
+        # divergence stays finite and a positive one positive; where d
+        # itself overflowed, each mean is scaled before subtracting
+        s = self.sigma
+        e = d / s if abs(d) < math.inf else mu_prime / s - mu / s
         return 0.5 * e * e
 
     def kl_many(self, mu, mu_prime):
-        d = mu_prime - mu
-        if self.sigma2 > _HALF_MAX:
-            e = d / self.sigma
-            return 0.5 * e * e
-        div = d * d / (2.0 * self.sigma2)
-        finite = np.isfinite(div)
-        if finite.all():
-            return div
-        e = d / self.sigma
-        return np.where(finite, div, 0.5 * e * e)
+        # an overflow here falls back as kl does; the means scaled by sigma
+        # count only where d overflowed, and inf - inf elsewhere is dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = mu_prime - mu
+            if self.sigma2 <= _HALF_MAX:
+                div = d * d / (2.0 * self.sigma2)
+                finite = np.isfinite(div)
+                if finite.all():
+                    return div
+            s = self.sigma
+            e = np.where(np.isinf(d), mu_prime / s - mu / s, d / s)
+            scaled = 0.5 * e * e
+        return scaled if self.sigma2 > _HALF_MAX else np.where(finite, div, scaled)
 
     def sample_many(self, mu, rng, size):
         self.require_mean(mu)

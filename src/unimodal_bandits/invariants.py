@@ -112,7 +112,9 @@ def _cleared(lhs, rhs, n):
 
 
 def check_log(actions, rewards, graph, family, run_id=""):
-    """All invariant violations in one run's pull log, in pull order.
+    """All invariant violations in one run's pull log, in pull order; the
+    log's arms and rewards are two arrays, as simulate_policy_run returns
+    them.
 
     Every pull after the initialization (the first arm_count pulls) is
     audited on the statistics before it, as check_step defines. The log
@@ -153,7 +155,7 @@ def check_log(actions, rewards, graph, family, run_id=""):
         hi = min(lo + _AUDIT_BLOCK, total)
         t = np.arange(lo, hi)
         rows = np.arange(hi - lo)
-        chosen = np.asarray(actions[lo:hi], dtype=np.intp)
+        chosen = actions[lo:hi]
         # arm a's sums after each of its pulls in the block follow its
         # carried sum in run[seg[a]:seg[a + 1]]; its pull at sorted
         # position p sits at slot p + a + 1
@@ -165,7 +167,7 @@ def check_log(actions, rewards, graph, family, run_id=""):
         slot[order] = rows + chosen[order] + 1
         run = np.empty(hi - lo + k)
         run[seg[:k]] = sums
-        run[slot] = np.asarray(rewards[lo:hi], dtype=np.float64)
+        run[slot] = rewards[lo:hi]
         # pre-pull counts and means: c[r] and m[r] are PullStats' lists at step lo + r
         pulled = np.zeros((hi - lo, k), dtype=np.intp)
         pulled[rows, chosen] = 1
@@ -204,7 +206,7 @@ def check_log(actions, rewards, graph, family, run_id=""):
             stats.sums = pre[r].tolist()
             stats.means = m[r].tolist()
             stats.t = lo + r
-            out.extend(check_step(stats, actions[lo + r], graph, family, run_id))
+            out.extend(check_step(stats, int(chosen[r]), graph, family, run_id))
     return out
 
 

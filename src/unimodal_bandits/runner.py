@@ -30,8 +30,17 @@ DEFAULT_GRID_POINTS = 200
 # the first leader run a simulation tries, and its longest
 _LEADER_RUN_START = 4
 _LEADER_RUN_CAP = 4096
-# characters of trace body read_trace decodes with one json.loads
+# characters of trace body read_trace parses at once
 _READ_CHUNK = 1 << 16
+# a trace body as write_trace writes it: [arm,reward] rows in JSON's number
+# grammar, one a line; read_trace reads the bare reward -0 line by line,
+# since JSON reads it as the integer 0 and numpy as -0.0. No part of a row
+# can match what follows it, so the quantifiers are possessive and the
+# match never backtracks
+_ROW = r"\[(?:0|[1-9][0-9]*+),-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?[0-9]++)?+\]"
+_ROWS = re.compile(rf"{_ROW}(?:\n{_ROW})*+")
+# such a body as comma-separated numbers
+_ROWS_TO_CSV = str.maketrans("\n", ",", "[]")
 # labels name CSV rows and trace files, so they carry no separators
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -326,6 +335,12 @@ def load_config(path, overrides=None):
 # ---------------------------------------------------------------------------
 # seeding
 
+def arm_dtype(arm_count):
+    """The smallest signed integer dtype of a pull log's arms that holds
+    every arm index of an arm_count-armed bandit."""
+    return np.min_scalar_type(-arm_count)
+
+
 def seed_sequence(master_seed, run_index, policy_id):
     """Independent SeedSequence for one (policy, run) cell of the grid."""
     if master_seed < 0 or run_index < 0 or policy_id < 0:
@@ -346,11 +361,12 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
     certify proves select would pick it every time. The log is the one
     select would give step by step.
 
-    Returns the run's pull log (actions, rewards), two lists of horizon
-    entries; regret, counts, traces and checks are derived from it. Every
-    arm gets its own child stream of seed_seq (the policy gets one more
-    for its own randomness), so the rewards an arm yields do not depend
-    on the interleaving the policy produces. The children are the ones
+    Returns the run's pull log (actions, rewards), two arrays of horizon
+    entries, the arms of dtype arm_dtype(K) and the rewards float64;
+    regret, counts, traces and checks are derived from it. Every arm gets
+    its own child stream of seed_seq (the policy gets one more for its
+    own randomness), so the rewards an arm yields do not depend on the
+    interleaving the policy produces. The children are the ones
     seed_seq.spawn would give on a fresh sequence, but seed_seq is left as
     it is, so one object passed twice gives the same log.
     """
@@ -389,28 +405,28 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
             rewards += served
             t += k
             run = min(2 * run, _LEADER_RUN_CAP) if k == run else _LEADER_RUN_START
-    return actions, rewards
+    return np.array(actions, dtype=arm_dtype(n)), np.array(rewards, dtype=np.float64)
 
 
 def grid_regret(bandit, actions, grid):
-    """Pseudo-regret sum_a gap_a N_a(t) of a pull log at each grid time t,
-    and the log's final pull counts.
+    """Pseudo-regret sum_a gap_a N_a(t) of the pull log's arms at each grid
+    time t, and the log's final pull counts.
 
     Evaluated from the counts of the first t pulls, summed in arm order,
     so the pull-count identity holds exactly at every grid time.
     """
-    gaps = bandit.gaps
-    counts = [0] * len(gaps)
-    regret = []
+    gaps = np.array(bandit.gaps)
+    k = len(gaps)
+    counts = np.zeros((len(grid) + 1, k), dtype=np.int64)
     done = 0
-    for t in grid:
-        for arm in actions[done:t]:
-            counts[arm] += 1
+    for i, t in enumerate(grid):
+        counts[i] = np.bincount(actions[done:t], minlength=k)
         done = t
-        regret.append(sum(g * n for g, n in zip(gaps, counts)))
-    for arm in actions[done:]:
-        counts[arm] += 1
-    return np.array(regret), tuple(counts)
+    counts[-1] = np.bincount(actions[done:], minlength=k)
+    np.cumsum(counts, axis=0, out=counts)
+    # accumulate adds left to right, as sum() over the arms does
+    regret = np.add.accumulate(gaps * counts[:-1], axis=1)[:, -1]
+    return regret, tuple(counts[-1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -616,24 +632,28 @@ def write_config(cfg, out_dir):
 
 def write_trace(path, meta, actions, rewards):
     """Write one run's trace: a JSON header line (meta), then one
-    [arm, reward] line per pull, initialization included.
+    [arm, reward] line per pull of the pull log, initialization included.
 
-    Rewards are written with repr, so reading them back gives the same
-    floats and a replay accumulates bit-identical sums and means.
+    Rewards are written with the repr of Python floats, so reading them
+    back gives the same floats and a replay accumulates bit-identical sums
+    and means.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta) + "\n")
-        fh.writelines(f"[{arm},{reward!r}]\n" for arm, reward in zip(actions, rewards))
+        fh.writelines(
+            f"[{arm},{reward!r}]\n" for arm, reward in zip(actions.tolist(), rewards.tolist())
+        )
 
 
-def _scan_rows(lines, lineno, done, path, arm_count, family):
-    """The pull log (arms, rewards) of lines, the trace's lines from line
-    lineno on, after done pulls, checked row by row; a ConfigError names
-    the first line read_trace does not accept."""
+def _scan_rows(lines, done, path, arm_count, family):
+    """The pull log (arms, rewards) of lines, the trace's rows after its
+    first done pulls, checked row by row; a ConfigError names the first
+    line read_trace does not accept."""
     arms, rewards = [], []
-    for lineno, line in enumerate(lines, start=lineno):
+    # line 1 is the header
+    for lineno, line in enumerate(lines, start=done + 2):
         try:
             arm, reward = json.loads(line)
             ok = (
@@ -659,12 +679,13 @@ def _scan_rows(lines, lineno, done, path, arm_count, family):
             )
         arms.append(arm)
         rewards.append(float(reward))
-    return arms, rewards
+    return np.array(arms, dtype=arm_dtype(arm_count)), np.array(rewards, dtype=np.float64)
 
 
 def read_trace(path, arm_count, family):
     """Load one trace file of an arm_count-armed run on family: (header,
-    actions, rewards), the pull log in pull order.
+    actions, rewards), the pull log in pull order, as simulate_policy_run
+    returns it.
 
     A trace is outside input: the header must be a JSON object, every row
     [arm, reward] with an integer arm in [0, arm_count) and a finite real
@@ -674,11 +695,11 @@ def read_trace(path, arm_count, family):
 
     The body is read in chunks of whole lines, about _READ_CHUNK
     characters each, so the text held at once is one chunk's. A chunk
-    whose every line is one [arm,reward] row, as write_trace writes it
-    (it starts with "[", ends with "]" and holds no other bracket), is
-    decoded with one json.loads and its rows validated together with
-    numpy. Any other chunk, and one that fails that check, is decoded
-    and checked row by row (_scan_rows), which names its first bad line.
+    whose every line is one [arm,reward] row as write_trace writes it
+    (_ROWS) is parsed with one np.fromstring and its rows validated
+    together with numpy. Any other chunk, and one that fails that check,
+    is decoded and checked row by row (_scan_rows), which names its first
+    bad line.
     """
     # undecodable bytes turn into U+FFFD and fail the row checks
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -688,54 +709,35 @@ def read_trace(path, arm_count, family):
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError(f"{path}:1: header is not a JSON object")
-        actions, rewards = [], []
-        lineno = 2
+        arm_blocks, reward_blocks = [], []
+        done = 0
         while chunk := fh.read(_READ_CHUNK):
             chunk += fh.readline()
             core = chunk.removesuffix("\n")
             lines = core.count("\n") + 1
-            done = len(actions)
-            ok = (
-                core.startswith("[")
-                and core.endswith("]")
-                and core.count("[") == core.count("]") == lines == core.count("]\n[") + 1
-            )
+            ok = ",-0]" not in core and _ROWS.fullmatch(core) is not None
             if ok:
-                try:
-                    rows = json.loads("[" + core.replace("\n", ",") + "]")
-                    arms, values = zip(*rows)
-                    ok = (
-                        len(rows) == lines
-                        and set(map(len, rows)) == {2}
-                        and set(map(type, arms)) == {int}
-                        and set(map(type, values)) <= {float, int}
-                    )
-                    if ok:
-                        a = np.array(arms, dtype=np.int64)
-                        v = np.array(values, dtype=np.float64)
-                        init = a[: max(arm_count - done, 0)]
-                        ok = (
-                            (init == np.arange(done, done + len(init))).all()
-                            and 0 <= a.min()
-                            and a.max() < arm_count
-                            and np.isfinite(v).all()
-                            and family.mean_lo <= v.min()
-                            and v.max() <= family.mean_hi
-                        )
-                        values = v.tolist()
-                except (TypeError, ValueError, OverflowError):
-                    ok = False
-            if not ok:
-                arms, values = _scan_rows(
-                    core.split("\n"), lineno, done, path, arm_count, family
+                rows = np.fromstring(core.translate(_ROWS_TO_CSV), sep=",")
+                arms, values = rows[0::2], rows[1::2]
+                init = arms[: max(arm_count - done, 0)]
+                ok = (
+                    len(rows) == 2 * lines
+                    and (init == np.arange(done, done + len(init))).all()
+                    and arms.max() < arm_count
+                    and np.isfinite(values).all()
+                    and family.mean_lo <= values.min()
+                    and values.max() <= family.mean_hi
                 )
-            actions.extend(arms)
-            rewards.extend(values)
-            lineno += lines
-    if len(actions) < arm_count:
-        n = len(actions)
-        raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
-    return meta, actions, rewards
+            if ok:
+                arms = arms.astype(arm_dtype(arm_count))
+            else:
+                arms, values = _scan_rows(core.split("\n"), done, path, arm_count, family)
+            arm_blocks.append(arms)
+            reward_blocks.append(values)
+            done += lines
+    if done < arm_count:
+        raise ConfigError(f"{path}:{done + 2}: missing the initialization pull of arm {done}")
+    return meta, np.concatenate(arm_blocks), np.concatenate(reward_blocks)
 
 
 def _check_cell(cfg, trace_dir, bandit, policy_idx, run_idx):

@@ -88,13 +88,20 @@ def variance_sup(family, lo, hi):
     return hi * hi
 
 
+def log_lists(log):
+    """A pull log (actions, rewards), two arrays, as two lists of Python
+    numbers, which compare with ==."""
+    actions, rewards = log
+    return actions.tolist(), rewards.tolist()
+
+
 def replay_check_log(actions, rewards, graph, family, run_id=""):
     """Reference audit for invariants.check_log: the log replayed through a
     fresh PullStats, with check_step run on the statistics before every
     pull after the initialization (the first arm_count pulls)."""
     k = graph.arm_count
     stats = PullStats(k)
-    pulls = zip(actions, rewards)
+    pulls = zip(*log_lists((actions, rewards)))
     for arm, reward in islice(pulls, k):
         stats.record(arm, reward)
     out = []
@@ -107,7 +114,8 @@ def replay_check_log(actions, rewards, graph, family, run_id=""):
 def read_trace_by_line(path, arm_count, family):
     """Reference reader for runner.read_trace: the header, then every body
     line decoded and checked on its own, in order; a ConfigError names the
-    first line not accepted, with read_trace's message."""
+    first line not accepted, with read_trace's message. The log is two
+    arrays, int64 arms and float64 rewards."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             meta = json.loads(fh.readline())
@@ -145,7 +153,7 @@ def read_trace_by_line(path, arm_count, family):
     if len(actions) < arm_count:
         n = len(actions)
         raise ConfigError(f"{path}:{n + 2}: missing the initialization pull of arm {n}")
-    return meta, actions, rewards
+    return meta, np.array(actions, dtype=np.int64), np.array(rewards, dtype=np.float64)
 
 
 def index_argmin_loop(stats, family, cands, mu_star):
@@ -248,7 +256,7 @@ def simulate_loop(bandit, spec, seed_seq, horizon, select=None):
     """Reference runner.simulate_policy_run: the same streams, then one
     select and one BanditEnv.pull per step, with no leader runs.
     select(policy, stats), when given, decides in place of the policy's
-    own select."""
+    own select. The log is two arrays, int64 arms and float64 rewards."""
     n = bandit.arm_count
     children = [
         np.random.SeedSequence(
@@ -272,7 +280,7 @@ def simulate_loop(bandit, spec, seed_seq, horizon, select=None):
             arm = select(policy, stats)
         actions.append(arm)
         rewards.append(env.pull(arm))
-    return actions, rewards
+    return np.array(actions, dtype=np.int64), np.array(rewards, dtype=np.float64)
 
 
 def make_stats(counts, means):

@@ -112,7 +112,7 @@ def test_criterion_2_imed_imedub_identical_on_two_arms():
             seeded = lambda: seed_sequence(MASTER_SEED, run, 0)
             a, _ = simulate_policy_run(bandit, PolicySpec("imed-ub"), seeded(), 5000)
             b, _ = simulate_policy_run(bandit, PolicySpec("imed"), seeded(), 5000)
-            assert a == b
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ oracles, sampling laws, variance envelopes, and the KL upper inverse."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,23 @@ def test_kl_gaussian_uses_configured_variance():
     # twice the variance overflows, the divergence does not round to 0
     assert HUGE.kl(0.0, 1e150) == pytest.approx(1e-8 / 3.0, rel=1e-15)
     assert HUGE.kl_many(np.array([0.0]), np.array([1e150]))[0] == HUGE.kl(0.0, 1e150)
+
+
+def test_kl_gaussian_where_the_mean_difference_overflows():
+    # 1e308 - (-1e308) overflows, but each mean over sigma does not, and
+    # neither does the divergence (2e308 / sigma)^2 / 2
+    top = Gaussian(sys.float_info.max)
+    half = 1e308 / top.sigma
+    want = 0.5 * (2.0 * half) * (2.0 * half)
+    assert want == pytest.approx(1.1125369292536e308, rel=1e-12)
+    assert top.kl(-1e308, 1e308) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = top.kl_many(np.array([-1e308, 0.0]), np.array([1e308, 1e150]))
+        # at unit variance the divergence itself overflows
+        unit = Gaussian(1.0).kl_many(np.array([-1e308, 0.0]), np.array([1e308, 0.5]))
+    assert got.tolist() == [want, top.kl(0.0, 1e150)]
+    assert unit.tolist() == [math.inf, 0.125] == [Gaussian(1.0).kl(-1e308, 1e308), 0.125]
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)

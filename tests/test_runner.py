@@ -10,11 +10,12 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
 from pathlib import Path
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from unimodal_bandits.cli import main as cli_main
 from unimodal_bandits.policies import PolicySpec
 from unimodal_bandits.runner import write_config, write_trace
 
-from conftest import HILL_MEANS, read_trace_by_line
+from conftest import HILL_MEANS, log_lists, read_trace_by_line
 
 
 def hill_config(**overrides):
@@ -96,6 +97,36 @@ def test_derived_seeds_have_no_collisions():
     assert len(seen) == 4 * 2500
 
 
+@pytest.mark.parametrize("policy", ["imed-ub", "imed", "osub", "uts"])
+def test_a_pull_log_is_two_arrays(policy):
+    # the log every consumer reads: horizon arms of the smallest signed
+    # dtype holding arm_count - 1, and horizon float64 rewards
+    bandit = BanditConfig(Bernoulli(), HILL_MEANS, line_graph(9))
+    actions, rewards = simulate_policy_run(bandit, PolicySpec(policy), seed_sequence(1, 0, 0), 700)
+    assert actions.dtype == np.int8 == runner.arm_dtype(9)
+    assert rewards.dtype == np.float64
+    assert actions.shape == rewards.shape == (700,)
+
+
+def test_a_pull_log_of_many_arms_holds_every_arm(tmp_path):
+    # 130 arms need more than int8; a trace reads back in the same dtype
+    k = 130
+    bandit = BanditConfig(
+        Bernoulli(), [0.9 - 0.005 * abs(a - 65) for a in range(k)], line_graph(k)
+    )
+    actions, rewards = simulate_policy_run(
+        bandit, PolicySpec("imed-ub"), seed_sequence(1, 0, 0), 400
+    )
+    assert runner.arm_dtype(128) == np.int8 and runner.arm_dtype(k) == np.int16
+    assert actions.dtype == np.int16 and np.iinfo(actions.dtype).max >= k - 1
+    assert actions[:k].tolist() == list(range(k)) and rewards.dtype == np.float64
+    path = tmp_path / "run.jsonl"
+    write_trace(path, {"run": 0}, actions, rewards)
+    _, read_actions, read_rewards = read_trace(path, k, bandit.family)
+    assert read_actions.dtype == np.int16 and read_rewards.dtype == np.float64
+    assert log_bits(read_actions, read_rewards) == log_bits(actions, rewards)
+
+
 def test_seed_components_must_be_nonnegative():
     with pytest.raises(Exception):
         seed_sequence(-1, 0, 0)
@@ -107,8 +138,8 @@ def test_a_run_leaves_its_seed_as_it_is(policy):
     # from the policy's own child stream
     bandit = BanditConfig(Bernoulli(), HILL_MEANS, line_graph(9))
     seed_seq = seed_sequence(1, 0, 0)
-    first = simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500)
-    assert simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500) == first
+    first = log_lists(simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500))
+    assert log_lists(simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500)) == first
     assert seed_seq.n_children_spawned == 0
 
 
@@ -374,7 +405,7 @@ def test_trace_replay_reproduces_statistics(tmp_path):
             assert len(actions) == len(rewards) == cfg.horizon
             policy = make_policy(spec, family, graph)
             stats = PullStats(9)
-            for i, (arm, reward) in enumerate(zip(actions, rewards)):
+            for i, (arm, reward) in enumerate(zip(*log_lists((actions, rewards)))):
                 if i >= 9:
                     assert policy.select(stats) == arm, (spec.name, run, i)
                 stats.record(arm, reward)
@@ -548,13 +579,20 @@ def test_cli_check_rejects_malformed_trace(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {victim}:")
 
 
+def log_bits(actions, rewards):
+    """A pull log as two lists: the arms, and the rewards' float64 bit
+    patterns, which tell -0.0 from 0.0."""
+    return actions.tolist(), rewards.view(np.uint64).tolist()
+
+
 def read_outcome(reader, path, arm_count, family):
-    """reader's outcome on path: ("log", (header, actions, rewards)) or
+    """reader's outcome on path: ("log", (header, *log_bits(log))) or
     ("error", message)."""
     try:
-        return "log", reader(path, arm_count, family)
+        meta, actions, rewards = reader(path, arm_count, family)
     except ConfigError as exc:
         return "error", str(exc)
+    return "log", (meta, *log_bits(actions, rewards))
 
 
 def regroup_rows(lines):
@@ -607,14 +645,14 @@ def test_bulk_trace_reader_agrees_with_line_reader(tmp_path, monkeypatch, case, 
     assert got == read_outcome(read_trace_by_line, path, 9, bandit.family)
     assert got[0] == ("log" if case in ACCEPTED else "error")
     if case == "clean":
-        assert got[1] == ({"run": 0}, actions, rewards)
+        assert got[1] == ({"run": 0}, *log_bits(actions, rewards))
 
 
 def long_trace(path, rows):
     """A synthetic 9-arm Bernoulli trace of rows pulls; its lines."""
     rng = np.random.default_rng(3)
-    actions = list(range(9)) + rng.integers(0, 9, rows - 9).tolist()
-    write_trace(path, {"run": 0}, actions, rng.random(rows).tolist())
+    actions = np.concatenate([np.arange(9), rng.integers(0, 9, rows - 9)]).astype(np.int8)
+    write_trace(path, {"run": 0}, actions, rng.random(rows))
     return path.read_text().splitlines()
 
 
@@ -645,22 +683,27 @@ def test_trace_reader_across_chunks(tmp_path, case):
 
 @pytest.mark.parametrize("chunk", [1024, runner._READ_CHUNK])
 def test_write_trace_output_is_decoded_one_chunk_at_a_time(tmp_path, monkeypatch, chunk):
-    # a body as write_trace writes it costs one json.loads per chunk of
-    # about chunk characters, plus one for the header, not one per line
+    # a body as write_trace writes it, in each family, is parsed a chunk at
+    # a time with np.fromstring, never row by row; a warning is an error
+    # here, so a numpy that deprecates text-mode fromstring fails this test
+    # rather than sending every chunk down the slower line path
     monkeypatch.setattr(runner, "_READ_CHUNK", chunk)
+
+    def scan_rows(*args):
+        raise AssertionError("a write_trace body reached _scan_rows")
+
+    monkeypatch.setattr(runner, "_scan_rows", scan_rows)
     path = tmp_path / "run.jsonl"
-    lines = long_trace(path, 8000)
-    calls = []
-
-    def loads(text):
-        calls.append(text)
-        return json.loads(text)
-
-    monkeypatch.setattr(runner, "json", SimpleNamespace(loads=loads))
-    meta, actions, rewards = read_trace(path, 9, Bernoulli())
-    body = len(path.read_text()) - len(lines[0]) - 1
-    assert len(actions) == 8000
-    assert 2 <= len(calls) <= 1 + math.ceil(body / chunk)
+    for family in (Bernoulli(), Gaussian(0.25), Exponential()):
+        bandit = BanditConfig(family, HILL_MEANS, line_graph(9))
+        actions, rewards = simulate_policy_run(
+            bandit, PolicySpec("imed-ub"), seed_sequence(8, 0, 0), 3000
+        )
+        write_trace(path, {"run": 0}, actions, rewards)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, got_actions, got_rewards = read_trace(path, 9, family)
+        assert log_bits(got_actions, got_rewards) == log_bits(actions, rewards), family
 
 
 @pytest.mark.parametrize(
@@ -672,15 +715,59 @@ def test_write_trace_output_is_decoded_one_chunk_at_a_time(tmp_path, monkeypatch
     ],
     ids=lambda x: getattr(x, "name", ""),
 )
-def test_trace_round_trip_is_bit_exact(tmp_path, family, rewards):
-    actions = [i % 3 for i in range(len(rewards))]
+def test_trace_round_trip_is_bit_exact(tmp_path, monkeypatch, family, rewards):
+    actions = np.arange(len(rewards), dtype=np.int8) % 3
+    rewards = np.array(rewards)
     path = tmp_path / "run.jsonl"
     write_trace(path, {"run": 0}, actions, rewards)
-    got = read_outcome(read_trace, path, 3, family)
-    assert got == read_outcome(read_trace_by_line, path, 3, family)
-    _, (meta, read_actions, read_rewards) = got
-    assert read_actions == actions
-    assert [r.hex() for r in read_rewards] == [r.hex() for r in rewards]
+    for chunk in (16, runner._READ_CHUNK):
+        monkeypatch.setattr(runner, "_READ_CHUNK", chunk)
+        got = read_outcome(read_trace, path, 3, family)
+        assert got == read_outcome(read_trace_by_line, path, 3, family)
+        assert got == ("log", ({"run": 0}, *log_bits(actions, rewards))), chunk
+
+
+@pytest.mark.parametrize("chunk", [16, runner._READ_CHUNK])
+@settings(max_examples=100, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_fast_parse_is_bit_exact_on_random_floats(chunk, bits):
+    # any float64 as write_trace writes it reads back with its bits, as the
+    # line reader reads it; a NaN or an infinity is refused by both
+    family = Gaussian(1.0)
+    rewards = np.array([0.0, 0.0, 0.0, *bits], dtype=np.uint64).view(np.float64)
+    actions = np.arange(len(rewards), dtype=np.int8) % 3
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(runner, "_READ_CHUNK", chunk):
+        path = Path(tmp) / "run.jsonl"
+        write_trace(path, {"run": 0}, actions, rewards)
+        got = read_outcome(read_trace, path, 3, family)
+        assert got == read_outcome(read_trace_by_line, path, 3, family)
+    if np.isfinite(rewards).all():
+        assert got == ("log", ({"run": 0}, *log_bits(actions, rewards)))
+
+
+# rewards in forms JSON allows but write_trace never writes; JSON reads a
+# bare -0 as the integer 0, so its reward is 0.0, never -0.0
+LITERAL_REWARDS = {
+    "1E5": 1e5,
+    "5e-324": 5e-324,
+    "1.7976931348623157e+308": 1.7976931348623157e308,
+    "-0": 0.0,
+    "-0.0": -0.0,
+    "-0e0": -0.0,
+    "12": 12.0,
+}
+
+
+@pytest.mark.parametrize("chunk", [16, runner._READ_CHUNK])
+@pytest.mark.parametrize("literal", sorted(LITERAL_REWARDS))
+def test_literal_rewards_read_as_json_reads_them(tmp_path, monkeypatch, literal, chunk):
+    monkeypatch.setattr(runner, "_READ_CHUNK", chunk)
+    path = tmp_path / "run.jsonl"
+    path.write_text('{"run": 0}\n[0,1.0]\n[1,2.0]\n' + f"[2,{literal}]\n[0,0.5]\n")
+    got = read_outcome(read_trace, path, 3, Gaussian(1.0))
+    assert got == read_outcome(read_trace_by_line, path, 3, Gaussian(1.0))
+    want = np.array([1.0, 2.0, LITERAL_REWARDS[literal], 0.5])
+    assert got == ("log", ({"run": 0}, *log_bits(np.array([0, 1, 2, 0]), want)))
 
 
 def test_cli_run_and_check_print_twenty_violations_and_counts_per_check(
