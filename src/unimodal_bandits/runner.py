@@ -34,11 +34,10 @@ _LEADER_RUN_CAP = 4096
 _READ_CHUNK = 1 << 16
 # a trace body as write_trace writes it: [arm,reward] rows in JSON's number
 # grammar, one a line; read_trace reads the bare reward -0 line by line,
-# since JSON reads it as the integer 0 and numpy as -0.0. No part of a row
-# can match what follows it, so the quantifiers are possessive and the
-# match never backtracks
-_ROW = r"\[(?:0|[1-9][0-9]*+),-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?[0-9]++)?+\]"
-_ROWS = re.compile(rf"{_ROW}(?:\n{_ROW})*+")
+# since JSON reads it as the integer 0 and numpy as -0.0. An optional part
+# is an alternation with an empty branch, which re matches faster than ?
+_ROW = r"\[(?:0|[1-9][0-9]*),-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|)\]"
+_ROWS = re.compile(rf"{_ROW}(?:\n{_ROW})*")
 # such a body as comma-separated numbers
 _ROWS_TO_CSV = str.maketrans("\n", ",", "[]")
 # labels name CSV rows and trace files, so they carry no separators
@@ -335,12 +334,6 @@ def load_config(path, overrides=None):
 # ---------------------------------------------------------------------------
 # seeding
 
-def arm_dtype(arm_count):
-    """The smallest signed integer dtype of a pull log's arms that holds
-    every arm index of an arm_count-armed bandit."""
-    return np.min_scalar_type(-arm_count)
-
-
 def seed_sequence(master_seed, run_index, policy_id):
     """Independent SeedSequence for one (policy, run) cell of the grid."""
     if master_seed < 0 or run_index < 0 or policy_id < 0:
@@ -362,7 +355,7 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
     select would give step by step.
 
     Returns the run's pull log (actions, rewards), two arrays of horizon
-    entries, the arms of dtype arm_dtype(K) and the rewards float64;
+    entries, the arms of dtype np.intp and the rewards float64;
     regret, counts, traces and checks are derived from it. Every arm gets
     its own child stream of seed_seq (the policy gets one more for its
     own randomness), so the rewards an arm yields do not depend on the
@@ -405,7 +398,7 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
             rewards += served
             t += k
             run = min(2 * run, _LEADER_RUN_CAP) if k == run else _LEADER_RUN_START
-    return np.array(actions, dtype=arm_dtype(n)), np.array(rewards, dtype=np.float64)
+    return np.array(actions, dtype=np.intp), np.array(rewards, dtype=np.float64)
 
 
 def grid_regret(bandit, actions, grid):
@@ -679,7 +672,7 @@ def _scan_rows(lines, done, path, arm_count, family):
             )
         arms.append(arm)
         rewards.append(float(reward))
-    return np.array(arms, dtype=arm_dtype(arm_count)), np.array(rewards, dtype=np.float64)
+    return np.array(arms, dtype=np.intp), np.array(rewards, dtype=np.float64)
 
 
 def read_trace(path, arm_count, family):
@@ -729,7 +722,7 @@ def read_trace(path, arm_count, family):
                     and values.max() <= family.mean_hi
                 )
             if ok:
-                arms = arms.astype(arm_dtype(arm_count))
+                arms = arms.astype(np.intp)
             else:
                 arms, values = _scan_rows(core.split("\n"), done, path, arm_count, family)
             arm_blocks.append(arms)

@@ -88,11 +88,10 @@ def variance_sup(family, lo, hi):
     return hi * hi
 
 
-def log_lists(log):
-    """A pull log (actions, rewards), two arrays, as two lists of Python
-    numbers, which compare with ==."""
-    actions, rewards = log
-    return actions.tolist(), rewards.tolist()
+def log_bits(actions, rewards):
+    """A pull log as two lists: the arms, and the rewards' float64 bit
+    patterns, which tell -0.0 from 0.0; logs compare bit for bit with ==."""
+    return actions.tolist(), rewards.view(np.uint64).tolist()
 
 
 def replay_check_log(actions, rewards, graph, family, run_id=""):
@@ -101,7 +100,7 @@ def replay_check_log(actions, rewards, graph, family, run_id=""):
     pull after the initialization (the first arm_count pulls)."""
     k = graph.arm_count
     stats = PullStats(k)
-    pulls = zip(*log_lists((actions, rewards)))
+    pulls = zip(actions.tolist(), rewards.tolist())
     for arm, reward in islice(pulls, k):
         stats.record(arm, reward)
     out = []

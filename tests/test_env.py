@@ -211,7 +211,7 @@ def test_a_leader_run_pulls_nothing_without_a_strict_leader_or_a_certificate():
 
 
 def test_optimal_pull_adds_no_pseudo_regret(hill_bernoulli):
-    regret, counts = grid_regret(hill_bernoulli, np.array([4], dtype=np.int8), [1])
+    regret, counts = grid_regret(hill_bernoulli, np.array([4]), [1])
     assert regret.tolist() == [0.0] and counts == (0, 0, 0, 0, 1, 0, 0, 0, 0)
 
 
@@ -221,7 +221,7 @@ def test_pseudo_regret_identity_exact(hill_bernoulli):
     rng = np.random.default_rng(0)
     actions = list(range(9)) + rng.integers(0, 9, 2000).tolist()
     grid = [1, 5, 9, 10, 700, 2009]
-    regret, counts = grid_regret(hill_bernoulli, np.array(actions, dtype=np.int8), grid)
+    regret, counts = grid_regret(hill_bernoulli, np.array(actions), grid)
     gaps = hill_bernoulli.gaps
     for i, t in enumerate(grid):
         n = [actions[:t].count(a) for a in range(9)]
@@ -231,7 +231,7 @@ def test_pseudo_regret_identity_exact(hill_bernoulli):
 
 def test_grid_regret_at_times_below_arm_count(hill_bernoulli):
     # grid times inside the initialization see only its first pulls
-    actions = np.array([*range(9), 4, 3], dtype=np.int8)
+    actions = np.array([*range(9), 4, 3])
     regret, counts = grid_regret(hill_bernoulli, actions, [2, 5, 11])
     gaps = hill_bernoulli.gaps
     assert regret[0] == gaps[0] + gaps[1]

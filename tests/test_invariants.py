@@ -26,7 +26,6 @@ from unimodal_bandits import (
     seed_sequence,
     simulate_policy_run,
 )
-from unimodal_bandits.runner import arm_dtype
 
 from conftest import FAMILIES, HILL_MEANS, make_stats, replay_check_log
 
@@ -250,7 +249,7 @@ def test_check_log_matches_replay_on_random_logs(data):
     rewards = data.draw(
         st.lists(REWARDS[family.name], min_size=len(actions), max_size=len(actions))
     )
-    actions, rewards = np.array(actions, dtype=arm_dtype(k)), np.array(rewards)
+    actions, rewards = np.array(actions), np.array(rewards)
     # blocks as short as two pulls carry every arm's count and sum across
     # many block boundaries
     block = data.draw(st.sampled_from([2, 3, 7, invariants._AUDIT_BLOCK]))
@@ -287,6 +286,6 @@ def test_check_log_raises_where_replay_does(monkeypatch, case, block):
     # blocks from clearing in bulk
     monkeypatch.setattr(invariants, "_AUDIT_BLOCK", block)
     family, actions, rewards = FAULTY_LOGS[case]
-    actions, rewards = np.array(actions, dtype=arm_dtype(3)), np.array(rewards)
+    actions, rewards = np.array(actions), np.array(rewards)
     want = audit_outcome(replay_check_log, family, actions, rewards)
     assert audit_outcome(check_log, family, actions, rewards) == want

@@ -35,7 +35,7 @@ from conftest import (
     FAMILIES,
     HILL_MEANS,
     bisect_kl_upper_inverse,
-    log_lists,
+    log_bits,
     make_stats,
     oracle_select,
     osub_select_loop,
@@ -142,7 +142,7 @@ def assert_matches_oracle(bandit, rule, run, horizon, spec=None):
     spec = spec or PolicySpec(rule)
     seed_seq = seed_sequence(20260810, run, 0)
     log = simulate_policy_run(bandit, spec, seed_seq, horizon)
-    assert log_lists(log) == log_lists(oracle_log(bandit, spec, seed_seq, horizon))
+    assert log_bits(*log) == log_bits(*oracle_log(bandit, spec, seed_seq, horizon))
 
 
 @pytest.mark.parametrize("rule", ["imed-ub", "imed"])
@@ -207,7 +207,7 @@ def test_leader_runs_match_the_per_step_loop(name, rule):
     for run in [*range(49), 420]:
         seed_seq = seed_sequence(20260810, run, 0)
         log = simulate_policy_run(bandit, spec, seed_seq, 5000)
-        assert log_lists(log) == log_lists(simulate_loop(bandit, spec, seed_seq, 5000)), run
+        assert log_bits(*log) == log_bits(*simulate_loop(bandit, spec, seed_seq, 5000)), run
 
 
 def test_imed_ub_decides_most_hill_steps_in_leader_runs(monkeypatch):
@@ -265,10 +265,10 @@ def test_certify_leaves_a_mean_that_is_not_finite_to_select(rule):
 
 
 def simulate_or_error(simulate, *args):
-    """The log simulate returns, as lists, or the message of the
+    """The log simulate returns, as log_bits, or the message of the
     ParameterError it raises."""
     try:
-        return log_lists(simulate(*args))
+        return log_bits(*simulate(*args))
     except ParameterError as exc:
         return str(exc)
 

@@ -51,7 +51,7 @@ from unimodal_bandits.cli import main as cli_main
 from unimodal_bandits.policies import PolicySpec
 from unimodal_bandits.runner import write_config, write_trace
 
-from conftest import HILL_MEANS, log_lists, read_trace_by_line
+from conftest import HILL_MEANS, log_bits, read_trace_by_line
 
 
 def hill_config(**overrides):
@@ -99,17 +99,17 @@ def test_derived_seeds_have_no_collisions():
 
 @pytest.mark.parametrize("policy", ["imed-ub", "imed", "osub", "uts"])
 def test_a_pull_log_is_two_arrays(policy):
-    # the log every consumer reads: horizon arms of the smallest signed
-    # dtype holding arm_count - 1, and horizon float64 rewards
+    # the log every consumer reads: horizon np.intp arms and horizon
+    # float64 rewards
     bandit = BanditConfig(Bernoulli(), HILL_MEANS, line_graph(9))
     actions, rewards = simulate_policy_run(bandit, PolicySpec(policy), seed_sequence(1, 0, 0), 700)
-    assert actions.dtype == np.int8 == runner.arm_dtype(9)
+    assert actions.dtype == np.intp
     assert rewards.dtype == np.float64
     assert actions.shape == rewards.shape == (700,)
 
 
 def test_a_pull_log_of_many_arms_holds_every_arm(tmp_path):
-    # 130 arms need more than int8; a trace reads back in the same dtype
+    # 130 arms are more than int8 holds; a trace reads back in the same dtypes
     k = 130
     bandit = BanditConfig(
         Bernoulli(), [0.9 - 0.005 * abs(a - 65) for a in range(k)], line_graph(k)
@@ -117,13 +117,12 @@ def test_a_pull_log_of_many_arms_holds_every_arm(tmp_path):
     actions, rewards = simulate_policy_run(
         bandit, PolicySpec("imed-ub"), seed_sequence(1, 0, 0), 400
     )
-    assert runner.arm_dtype(128) == np.int8 and runner.arm_dtype(k) == np.int16
-    assert actions.dtype == np.int16 and np.iinfo(actions.dtype).max >= k - 1
+    assert actions.dtype == np.intp and np.iinfo(actions.dtype).max >= k - 1
     assert actions[:k].tolist() == list(range(k)) and rewards.dtype == np.float64
     path = tmp_path / "run.jsonl"
     write_trace(path, {"run": 0}, actions, rewards)
     _, read_actions, read_rewards = read_trace(path, k, bandit.family)
-    assert read_actions.dtype == np.int16 and read_rewards.dtype == np.float64
+    assert read_actions.dtype == np.intp and read_rewards.dtype == np.float64
     assert log_bits(read_actions, read_rewards) == log_bits(actions, rewards)
 
 
@@ -138,8 +137,8 @@ def test_a_run_leaves_its_seed_as_it_is(policy):
     # from the policy's own child stream
     bandit = BanditConfig(Bernoulli(), HILL_MEANS, line_graph(9))
     seed_seq = seed_sequence(1, 0, 0)
-    first = log_lists(simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500))
-    assert log_lists(simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500)) == first
+    first = log_bits(*simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500))
+    assert log_bits(*simulate_policy_run(bandit, PolicySpec(policy), seed_seq, 500)) == first
     assert seed_seq.n_children_spawned == 0
 
 
@@ -405,7 +404,7 @@ def test_trace_replay_reproduces_statistics(tmp_path):
             assert len(actions) == len(rewards) == cfg.horizon
             policy = make_policy(spec, family, graph)
             stats = PullStats(9)
-            for i, (arm, reward) in enumerate(zip(*log_lists((actions, rewards)))):
+            for i, (arm, reward) in enumerate(zip(actions.tolist(), rewards.tolist())):
                 if i >= 9:
                     assert policy.select(stats) == arm, (spec.name, run, i)
                 stats.record(arm, reward)
@@ -579,12 +578,6 @@ def test_cli_check_rejects_malformed_trace(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {victim}:")
 
 
-def log_bits(actions, rewards):
-    """A pull log as two lists: the arms, and the rewards' float64 bit
-    patterns, which tell -0.0 from 0.0."""
-    return actions.tolist(), rewards.view(np.uint64).tolist()
-
-
 def read_outcome(reader, path, arm_count, family):
     """reader's outcome on path: ("log", (header, *log_bits(log))) or
     ("error", message)."""
@@ -651,7 +644,7 @@ def test_bulk_trace_reader_agrees_with_line_reader(tmp_path, monkeypatch, case, 
 def long_trace(path, rows):
     """A synthetic 9-arm Bernoulli trace of rows pulls; its lines."""
     rng = np.random.default_rng(3)
-    actions = np.concatenate([np.arange(9), rng.integers(0, 9, rows - 9)]).astype(np.int8)
+    actions = np.concatenate([np.arange(9), rng.integers(0, 9, rows - 9)])
     write_trace(path, {"run": 0}, actions, rng.random(rows))
     return path.read_text().splitlines()
 
@@ -683,10 +676,11 @@ def test_trace_reader_across_chunks(tmp_path, case):
 
 @pytest.mark.parametrize("chunk", [1024, runner._READ_CHUNK])
 def test_write_trace_output_is_decoded_one_chunk_at_a_time(tmp_path, monkeypatch, chunk):
-    # a body as write_trace writes it, in each family, is parsed a chunk at
-    # a time with np.fromstring, never row by row; a warning is an error
-    # here, so a numpy that deprecates text-mode fromstring fails this test
-    # rather than sending every chunk down the slower line path
+    # a body as write_trace writes it, in each family, is parsed with one
+    # np.fromstring per chunk of about chunk characters, never row by row;
+    # a warning is an error here, so a numpy that deprecates text-mode
+    # fromstring fails this test rather than sending every chunk down the
+    # slower line path
     monkeypatch.setattr(runner, "_READ_CHUNK", chunk)
 
     def scan_rows(*args):
@@ -700,10 +694,17 @@ def test_write_trace_output_is_decoded_one_chunk_at_a_time(tmp_path, monkeypatch
             bandit, PolicySpec("imed-ub"), seed_sequence(8, 0, 0), 3000
         )
         write_trace(path, {"run": 0}, actions, rewards)
-        with warnings.catch_warnings():
+        lines = path.read_text().splitlines(keepends=True)[1:]
+        body = sum(map(len, lines))
+        with warnings.catch_warnings(), mock.patch.object(
+            runner.np, "fromstring", wraps=np.fromstring
+        ) as parse:
             warnings.simplefilter("error")
             _, got_actions, got_rewards = read_trace(path, 9, family)
         assert log_bits(got_actions, got_rewards) == log_bits(actions, rewards), family
+        # a chunk holds chunk characters and the rest of a line
+        longest = max(map(len, lines))
+        assert body / (chunk + longest) <= parse.call_count <= math.ceil(body / chunk), family
 
 
 @pytest.mark.parametrize(
@@ -716,7 +717,7 @@ def test_write_trace_output_is_decoded_one_chunk_at_a_time(tmp_path, monkeypatch
     ids=lambda x: getattr(x, "name", ""),
 )
 def test_trace_round_trip_is_bit_exact(tmp_path, monkeypatch, family, rewards):
-    actions = np.arange(len(rewards), dtype=np.int8) % 3
+    actions = np.arange(len(rewards)) % 3
     rewards = np.array(rewards)
     path = tmp_path / "run.jsonl"
     write_trace(path, {"run": 0}, actions, rewards)
@@ -727,6 +728,13 @@ def test_trace_round_trip_is_bit_exact(tmp_path, monkeypatch, family, rewards):
         assert got == ("log", ({"run": 0}, *log_bits(actions, rewards))), chunk
 
 
+def test_trace_grammar_needs_no_python_3_11_syntax():
+    # the package supports Python 3.10, whose re has no possessive
+    # quantifiers and no atomic groups: there, compiling them fails on import
+    for pattern in (runner._ROWS.pattern, runner._LABEL.pattern):
+        assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
+
+
 @pytest.mark.parametrize("chunk", [16, runner._READ_CHUNK])
 @settings(max_examples=100, deadline=None)
 @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
@@ -735,7 +743,7 @@ def test_fast_parse_is_bit_exact_on_random_floats(chunk, bits):
     # line reader reads it; a NaN or an infinity is refused by both
     family = Gaussian(1.0)
     rewards = np.array([0.0, 0.0, 0.0, *bits], dtype=np.uint64).view(np.float64)
-    actions = np.arange(len(rewards), dtype=np.int8) % 3
+    actions = np.arange(len(rewards)) % 3
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(runner, "_READ_CHUNK", chunk):
         path = Path(tmp) / "run.jsonl"
         write_trace(path, {"run": 0}, actions, rewards)
