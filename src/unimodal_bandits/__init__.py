@@ -4,7 +4,6 @@ Monte Carlo experiment harness."""
 
 from .env import (
     BanditConfig,
-    BanditEnv,
     PullStats,
     leader,
 )
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BanditConfig",
-    "BanditEnv",
     "Bernoulli",
     "ConfigError",
     "Exponential",

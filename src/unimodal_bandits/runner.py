@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import BanditConfig, BanditEnv
+from .env import BanditConfig, PullStats
 from .errors import ConfigError, ParameterError
 from .expfam import make_family
 from .graph import UnimodalGraph, line_graph
@@ -27,6 +27,8 @@ from .invariants import AUDITED_RULE, ViolationTally, audit
 from .policies import PolicySpec, make_policy
 
 DEFAULT_GRID_POINTS = 200
+# rewards a run draws from an arm's generator at once
+_REWARD_BLOCK = 512
 # the first leader run a simulation tries, and its longest
 _LEADER_RUN_START = 4
 _LEADER_RUN_CAP = 4096
@@ -346,22 +348,34 @@ def seed_sequence(master_seed, run_index, policy_id):
 
 def simulate_policy_run(bandit, spec, seed_seq, horizon):
     """One full run of spec on the BanditConfig bandit: the forced
-    initialization 0, 1, ..., K-1, then the policy's pulls up to horizon.
+    initialization 0, 1, ..., K-1, then one select per step up to horizon.
 
-    IMED-UB and IMED decide most steps by pulling the leader. After each
-    of their select calls, BanditEnv.pull_leader_run tries to pull the
-    leader several times in a row, and does so only where the rule's
-    certify proves select would pick it every time. The log is the one
-    select would give step by step.
+    Every arm gets its own child stream of seed_seq (the policy gets one
+    more for its own randomness) and serves its rewards in order from
+    blocks of _REWARD_BLOCK draws of it, so the rewards an arm yields do
+    not depend on the interleaving the policy produces. A pull serves the
+    arm's next reward and records it in the run's PullStats. The children
+    are the ones seed_seq.spawn would give on a fresh sequence, but
+    seed_seq is left as it is, so one object passed twice gives the same
+    log.
+
+    IMED-UB and IMED decide most steps by pulling the leader, so after
+    each of their select calls the loop tries a run of leader pulls. It
+    needs an arm L whose empirical mean is a strict maximum, and reads L's
+    next rewards without serving them, adding them to L's sum one at a
+    time, as record does. Decision i of the run sees L's mean m_i after i
+    more pulls; the run stops before the first m_i that is not above every
+    other mean or not a finite mean of the family's closed domain. The
+    rule's certify(stats, L, k, m_min), with m_min the least of m_0, ...,
+    m_(k-1), must then vouch that select picks L on all k decisions, and
+    only then are the k pulls applied at once, leaving L's count, sum and
+    mean as k record calls would. A run pulled in full doubles the next
+    try; a shorter, refused or empty one starts again at
+    _LEADER_RUN_START. The log is the one select gives step by step.
 
     Returns the run's pull log (actions, rewards), two arrays of horizon
     entries, the arms of dtype np.intp and the rewards float64;
-    regret, counts, traces and checks are derived from it. Every arm gets
-    its own child stream of seed_seq (the policy gets one more for its
-    own randomness), so the rewards an arm yields do not depend on the
-    interleaving the policy produces. The children are the ones
-    seed_seq.spawn would give on a fresh sequence, but seed_seq is left as
-    it is, so one object passed twice gives the same log.
+    regret, counts, traces and checks are derived from it.
     """
     n = bandit.arm_count
     if horizon < n:
@@ -372,32 +386,81 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
         )
         for i in range(n + 1)
     ]
-    env = BanditEnv(bandit, [np.random.default_rng(c) for c in children[:n]])
-    policy = make_policy(
-        spec, bandit.family, bandit.graph, rng=np.random.default_rng(children[n])
-    )
-    stats = env.stats
-    select = policy.select
-    pull = env.pull
+    family = bandit.family
+    rngs = [np.random.default_rng(c) for c in children[:n]]
+
+    def draw(arm):
+        return family.sample_many(bandit.means[arm], rngs[arm], _REWARD_BLOCK).tolist()
+
+    # each arm's drawn rewards, and the position of the next one to serve
+    blocks = [draw(arm) for arm in range(n)]
+    served = [1] * n
+    stats = PullStats(n)
+    for arm, block in enumerate(blocks):
+        stats.record(arm, block[0])
     actions = list(range(n))
-    rewards = [pull(arm) for arm in actions]
-    # rules with a certificate try a leader run after each select; a run
-    # that is pulled in full doubles the next try
+    rewards = [block[0] for block in blocks]
+    policy = make_policy(spec, family, bandit.graph, rng=np.random.default_rng(children[n]))
+    select = policy.select
+    record = stats.record
+    counts, sums, means = stats.counts, stats.sums, stats.means
+    # the largest finite mean of the family's closed domain
+    top = min(family.mean_hi, sys.float_info.max)
     certify = getattr(policy, "certify", None)
     run = _LEADER_RUN_START
     t = n
     while t < horizon:
         arm = select(stats)
+        block = blocks[arm]
+        i = served[arm]
+        if i == len(block):
+            block = blocks[arm] = draw(arm)
+            i = 0
+        served[arm] = i + 1
+        x = block[i]
+        record(arm, x)
         actions.append(arm)
-        rewards.append(pull(arm))
+        rewards.append(x)
         t += 1
-        if certify is not None and t < horizon:
-            lead, served = env.pull_leader_run(certify, min(run, horizon - t))
-            k = len(served)
-            actions += [lead] * k
-            rewards += served
-            t += k
-            run = min(2 * run, _LEADER_RUN_CAP) if k == run else _LEADER_RUN_START
+        if certify is None or t == horizon:
+            continue
+        # a leader run: k pulls of the strict leader, 0 if none is applied
+        k = 0
+        best = max(means)
+        lead = means.index(best)
+        rival = max(means[:lead] + means[lead + 1:], default=-math.inf)
+        if rival < best:
+            j = min(run, horizon - t)
+            block = blocks[lead]
+            i = served[lead]
+            if i + j > len(block):
+                block = blocks[lead] = block[i:]
+                i = served[lead] = 0
+                while len(block) < j:
+                    block += draw(lead)
+            c = counts[lead]
+            s = sums[lead]
+            m = m_min = best
+            for x in block[i:i + j]:
+                if not rival < m <= top:
+                    break
+                if m < m_min:
+                    m_min = m
+                s += x
+                k += 1
+                m = s / (c + k)
+            if k and certify(stats, lead, k, m_min):
+                served[lead] = i + k
+                counts[lead] = c + k
+                sums[lead] = s
+                means[lead] = m
+                stats.t += k
+                actions += [lead] * k
+                rewards += block[i:i + k]
+                t += k
+            else:
+                k = 0
+        run = min(2 * run, _LEADER_RUN_CAP) if k == run else _LEADER_RUN_START
     return np.array(actions, dtype=np.intp), np.array(rewards, dtype=np.float64)
 
 
@@ -740,7 +803,8 @@ def _check_cell(cfg, trace_dir, bandit, policy_idx, run_idx):
     name, header, run_id = _trace_cell(cfg.policies[policy_idx], run_idx)
     f = trace_dir / name
     meta, actions, rewards = read_trace(f, bandit.arm_count, bandit.family)
-    if meta != header:
+    # as JSON, so a run of true or 1.0 is not the run 1
+    if json.dumps(meta, sort_keys=True) != json.dumps(header, sort_keys=True):
         raise ConfigError(f"{f}:1: header {meta} does not match config.json's {header}")
     if len(actions) != cfg.horizon:
         raise ConfigError(

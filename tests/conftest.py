@@ -10,7 +10,6 @@ import pytest
 
 from unimodal_bandits import (
     BanditConfig,
-    BanditEnv,
     Bernoulli,
     ConfigError,
     Exponential,
@@ -253,9 +252,11 @@ def oracle_select(rule, family, graph):
 
 def simulate_loop(bandit, spec, seed_seq, horizon, select=None):
     """Reference runner.simulate_policy_run: the same streams, then one
-    select and one BanditEnv.pull per step, with no leader runs.
-    select(policy, stats), when given, decides in place of the policy's
-    own select. The log is two arrays, int64 arms and float64 rewards."""
+    select and one PullStats.record per step, with no leader runs. Arm
+    a's rewards are the 512-draw blocks of sample_many from its child
+    stream, concatenated and served in order. select(policy, stats), when
+    given, decides in place of the policy's own select. The log is two
+    arrays, int64 arms and float64 rewards."""
     n = bandit.arm_count
     children = [
         np.random.SeedSequence(
@@ -263,11 +264,12 @@ def simulate_loop(bandit, spec, seed_seq, horizon, select=None):
         )
         for i in range(n + 1)
     ]
-    env = BanditEnv(bandit, [np.random.default_rng(c) for c in children[:n]])
+    rngs = [np.random.default_rng(c) for c in children[:n]]
+    drawn = [[] for _ in range(n)]
     policy = make_policy(
         spec, bandit.family, bandit.graph, rng=np.random.default_rng(children[n])
     )
-    stats = env.stats
+    stats = PullStats(n)
     actions = []
     rewards = []
     for t in range(horizon):
@@ -277,8 +279,12 @@ def simulate_loop(bandit, spec, seed_seq, horizon, select=None):
             arm = policy.select(stats)
         else:
             arm = select(policy, stats)
+        served = stats.counts[arm]
+        if served == len(drawn[arm]):
+            drawn[arm] += bandit.family.sample_many(bandit.means[arm], rngs[arm], 512).tolist()
+        stats.record(arm, drawn[arm][served])
         actions.append(arm)
-        rewards.append(env.pull(arm))
+        rewards.append(drawn[arm][served])
     return np.array(actions, dtype=np.int64), np.array(rewards, dtype=np.float64)
 
 

@@ -1,5 +1,5 @@
 """Environment tests: config validation, pull statistics, leader
-selection, regret accounting, determinism."""
+selection, regret accounting, reward streams."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from unimodal_bandits import (
     BanditConfig,
-    BanditEnv,
     Bernoulli,
     ConfigError,
     Gaussian,
-    ParameterError,
     PolicySpec,
     PullStats,
     StateError,
@@ -25,14 +23,7 @@ from unimodal_bandits import (
 
 from unimodal_bandits.policies import _argmax_lowest
 
-from conftest import HILL_MEANS, argmax_lowest_loop, leader_loop, make_stats
-
-
-def make_env(seed=0, means=HILL_MEANS, family=None):
-    family = family or Bernoulli()
-    config = BanditConfig(family, means, line_graph(len(means)))
-    children = seed_sequence(seed, 0, 0).spawn(len(means))
-    return BanditEnv(config, [np.random.default_rng(c) for c in children])
+from conftest import HILL_MEANS, argmax_lowest_loop, leader_loop, log_bits, make_stats
 
 
 # ---------------------------------------------------------------------------
@@ -156,58 +147,7 @@ def test_leader_scans_on_all_equal_means_and_signed_zeros():
 
 
 # ---------------------------------------------------------------------------
-# environment
-
-
-def test_pull_rejects_bad_arm():
-    env = make_env()
-    with pytest.raises(ParameterError):
-        env.pull(9)
-    with pytest.raises(ParameterError):
-        env.pull(-1)
-
-
-@pytest.mark.parametrize("family", [Bernoulli(), Gaussian(0.25)], ids=lambda f: f.name)
-def test_a_leader_run_serves_and_records_what_its_pulls_would(family):
-    # with a certificate that always vouches, a run pulls the leader while
-    # its mean stays the strict maximum; one env takes runs, the other
-    # pulls step by step, and statistics and rewards must agree bit for
-    # bit. Runs of 700 cross the streams' 512-draw refills
-    means = [0.3, 0.5, 0.45]
-    bulk, steps = make_env(3, means, family), make_env(3, means, family)
-    for arm in range(3):
-        assert bulk.pull(arm) == steps.pull(arm)
-    served_runs = 0
-    for i in range(300):
-        j = (5, 700)[i % 2]
-        lead, served = bulk.pull_leader_run(lambda *args: True, j)
-        stats = steps.stats
-        want = []
-        while len(want) < j and stats.means.count(max(stats.means)) == 1:
-            best = stats.means.index(max(stats.means))
-            if want and best != lead:
-                break
-            want.append(steps.pull(best))
-        assert served == want
-        served_runs += bool(served)
-        for name in ("counts", "sums", "means", "t"):
-            assert getattr(bulk.stats, name) == getattr(stats, name), (i, name)
-        assert bulk.pull(i % 3) == steps.pull(i % 3)
-    assert served_runs > 100
-
-
-def test_a_leader_run_pulls_nothing_without_a_strict_leader_or_a_certificate():
-    env, twin = make_env(1, [0.3, 0.5, 0.45]), make_env(1, [0.3, 0.5, 0.45])
-    for arm in range(3):
-        env.pull(arm)
-        twin.pull(arm)
-    env.stats.means[:] = [0.5, 0.5, 0.2]
-    assert env.pull_leader_run(lambda *args: True, 10) == (None, [])
-    env.stats.means[:] = [0.5, 0.6, 0.2]
-    assert env.pull_leader_run(lambda *args: False, 10) == (1, [])
-    assert env.stats.t == 3
-    # the rewards peeked for the refused run are served next
-    assert env.pull_leader_run(lambda *args: True, 1) == (1, [twin.pull(1)])
+# regret and reward streams
 
 
 def test_optimal_pull_adds_no_pseudo_regret(hill_bernoulli):
@@ -241,13 +181,22 @@ def test_grid_regret_at_times_below_arm_count(hill_bernoulli):
 
 
 def test_env_trace_deterministic_under_same_seed():
-    rewards_a = [make_env(seed=77).pull(a % 9) for a in range(50)]
-    env = make_env(seed=77)
-    rewards_b = [env.pull(a % 9) for a in range(50)]  # same arm order
-    env2 = make_env(seed=77)
-    rewards_c = [env2.pull(a % 9) for a in range(50)]
-    assert rewards_b == rewards_c
-    assert rewards_b[0] == rewards_a[0]
+    # a seed fixes every arm's rewards, whatever order the policy pulls
+    # them in: uts and osub interleave differently, and each arm's rewards
+    # in one run begin as its rewards in the other
+    bandit = BanditConfig(Gaussian(0.25), HILL_MEANS, line_graph(9))
+    seed_seq = seed_sequence(77, 0, 0)
+    uts, again, osub = (
+        simulate_policy_run(bandit, PolicySpec(rule), seed_seq, 2000)
+        for rule in ("uts", "uts", "osub")
+    )
+    assert log_bits(*uts) == log_bits(*again)
+    assert uts[0].tolist() != osub[0].tolist()
+    for arm in range(9):
+        a = uts[1][uts[0] == arm].tolist()
+        b = osub[1][osub[0] == arm].tolist()
+        n = min(len(a), len(b))
+        assert n > 0 and a[:n] == b[:n], arm
 
 
 def test_initialize_pulls_each_arm_once(hill_bernoulli):
@@ -260,7 +209,5 @@ def test_initialize_pulls_each_arm_once(hill_bernoulli):
 
 
 def test_single_arm_lln_hill_peak():
-    env = make_env(seed=101)
-    for _ in range(10**6):
-        env.pull(4)
-    assert abs(env.stats.means[4] - 0.25) < 0.002
+    draws = Bernoulli().sample_many(0.25, np.random.default_rng(101), 10**6)
+    assert abs(draws.mean() - 0.25) < 0.002

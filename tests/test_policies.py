@@ -30,6 +30,8 @@ from unimodal_bandits import (
     simulate_policy_run,
     transport_kl,
 )
+from unimodal_bandits import runner
+from unimodal_bandits.policies import _IndexRule
 
 from conftest import (
     FAMILIES,
@@ -208,6 +210,48 @@ def test_leader_runs_match_the_per_step_loop(name, rule):
         seed_seq = seed_sequence(20260810, run, 0)
         log = simulate_policy_run(bandit, spec, seed_seq, 5000)
         assert log_bits(*log) == log_bits(*simulate_loop(bandit, spec, seed_seq, 5000)), run
+
+
+@pytest.mark.parametrize("certified", ["as-is", "seeded-refusals", "never"])
+@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
+@pytest.mark.parametrize("name", sorted(PARITY_BANDITS))
+def test_leader_runs_match_the_per_step_loop_whatever_certify_says(
+    monkeypatch, name, rule, certified
+):
+    # a refused run has read the leader's next rewards, which its later
+    # pulls must still be served; a run that reads across the end of the
+    # leader's 512-draw block reads on into the next one
+    certify = _IndexRule.certify
+    coin = np.random.default_rng(11)
+    crossing = []
+
+    def watched(self, stats, lead, k, m_min):
+        ok = certified != "never" and certify(self, stats, lead, k, m_min)
+        if certified == "seeded-refusals" and coin.random() < 0.5:
+            ok = False
+        n = stats.counts[lead]
+        if n // runner._REWARD_BLOCK != (n + k - 1) // runner._REWARD_BLOCK:
+            crossing.append(ok)
+        return ok
+
+    monkeypatch.setattr(_IndexRule, "certify", watched)
+    bandit = PARITY_BANDITS[name]()
+    spec = PolicySpec(rule)
+    for run in (0, 420):
+        seed_seq = seed_sequence(20260810, run, 0)
+        log = simulate_policy_run(bandit, spec, seed_seq, 5000)
+        assert log_bits(*log) == log_bits(*simulate_loop(bandit, spec, seed_seq, 5000)), run
+    # certified runs crossed a block's end, or refused ones did
+    assert (certified == "as-is") in crossing
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_BANDITS))
+def test_uts_matches_the_per_step_loop(name):
+    bandit = PARITY_BANDITS[name]()
+    for run in (0, 420):
+        seed_seq = seed_sequence(20260810, run, 0)
+        log = simulate_policy_run(bandit, PolicySpec("uts"), seed_seq, 3000)
+        assert log_bits(*log) == log_bits(*simulate_loop(bandit, PolicySpec("uts"), seed_seq, 3000))
 
 
 def test_imed_ub_decides_most_hill_steps_in_leader_runs(monkeypatch):

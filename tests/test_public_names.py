@@ -103,3 +103,9 @@ def test_only_invariants_reads_the_audit():
         for name in used_names(path) & AUDIT_NAMES
     }
     assert readers == set()
+
+
+def test_only_runner_draws_rewards():
+    # simulate_policy_run serves every reward of a run, so no other module
+    # of the package draws from a family's sampler
+    assert {path.stem for path in MODULES if "sample_many" in used_names(path)} == {"runner"}

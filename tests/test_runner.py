@@ -823,6 +823,16 @@ def hide_doctored_row(victim):
     return rewrite_header(victim, rule="uts")
 
 
+def second_run(victim):
+    return victim.with_name("imed-ub__run00001.jsonl")
+
+
+def header_run(run):
+    """An edit that sets run 1's header run to run, equal to 1 in Python
+    but not the integer run writes; the error names the header line."""
+    return lambda victim: f"{rewrite_header(second_run(victim), run=run)}:1"
+
+
 def add_run2(victim):
     extra = victim.with_name("imed-ub__run00002.jsonl")
     extra.write_bytes(victim.read_bytes())
@@ -830,13 +840,16 @@ def add_run2(victim):
 
 
 # doctored trace directories of a clean 2-run imed-ub output: each case
-# edits the traces around run 0's file and returns the file the error must
-# name; a check that trusted the traces would print OK for every one
+# edits the traces around run 0's file and returns the file, or file:line,
+# the error must name; a check that trusted the traces would print OK for
+# every one
 DOCTORED_TRACE_DIRS = {
     "rule-rewritten": hide_doctored_row,
     "missing-file": lambda victim: victim.unlink() or victim,
     "extra-file": add_run2,
     "wrong-run": lambda victim: rewrite_header(victim, run=1),
+    "run-true": header_run(True),
+    "run-float": header_run(1.0),
 }
 
 
@@ -856,10 +869,6 @@ def test_cli_check_rejects_traces_config_does_not_name(tmp_path, capsys, case):
 def set_workers(out, workers):
     path = out / "config.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), "workers": workers}))
-
-
-def second_run(victim):
-    return victim.with_name("imed-ub__run00001.jsonl")
 
 
 def doctor_two_runs(victim):
