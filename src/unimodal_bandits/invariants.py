@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import PullStats, leader
+from .errors import ParameterError
 from .expfam import guard_band
 
 TOLERANCE = 1e-9
@@ -127,17 +128,17 @@ def check_log(actions, rewards, graph, family, run_id=""):
     evaluated with Family.kl_many. A step on which all four hold, LB1 and
     UB by more than a guard band (_cleared), has no violation; every
     other step goes to check_step on a PullStats rebuilt from its row, so
-    check_step writes every report.
+    check_step writes every report. A reward outside expfam's declared
+    domain, which read_trace refuses too, raises ParameterError: the
+    sums and means the audit compares rest on it.
     """
     k = graph.arm_count
     total = len(actions)
     out = []
     if total <= k:
         return out
-    # an arm left unpulled by the initialization, or a mean outside the
-    # family's closed domain, infinite or NaN, makes check_step raise or
-    # compare differently: only the steps before bulk_until, the first
-    # that sees one, may clear in bulk
+    # an arm left unpulled by the initialization makes check_step raise:
+    # then only the initialization clears in bulk
     bulk_until = total if np.bincount(actions[:k], minlength=k).all() else k
     # neighborhoods padded to one width; a padding entry always clears
     width = graph.max_degree()
@@ -156,6 +157,13 @@ def check_log(actions, rewards, graph, family, run_id=""):
         t = np.arange(lo, hi)
         rows = np.arange(hi - lo)
         chosen = actions[lo:hi]
+        inside = family.in_reward_domain(rewards[lo:hi])
+        if not inside.all():
+            bad = lo + int(inside.argmin())
+            raise ParameterError(
+                f"pull {bad}: {family.name} reward {float(rewards[bad])!r} outside the "
+                f"declared domain, 0 or in [{family.reward_lo}, {family.mean_hi}]"
+            )
         # arm a's sums after each of its pulls in the block follow its
         # carried sum in run[seg[a]:seg[a + 1]]; its pull at sorted
         # position p sits at slot p + a + 1
@@ -173,14 +181,10 @@ def check_log(actions, rewards, graph, family, run_id=""):
         pulled[rows, chosen] = 1
         local = np.cumsum(pulled, axis=0) - pulled
         c = counts + local
-        with np.errstate(all="ignore"):
-            for a in np.flatnonzero(n_block).tolist():
-                np.add.accumulate(run[seg[a]:seg[a + 1]], out=run[seg[a]:seg[a + 1]])
-            pre = run[seg[:k] + local]
-            m = pre / np.maximum(c, 1)
-            after = run[slot] / (c[rows, chosen] + 1)
-        inside = np.isfinite(after) & (after >= family.mean_lo) & (after <= family.mean_hi)
-        bulk_until = min(bulk_until, lo + 1 + np.flatnonzero(~inside).min(initial=total))
+        for a in np.flatnonzero(n_block).tolist():
+            np.add.accumulate(run[seg[a]:seg[a + 1]], out=run[seg[a]:seg[a + 1]])
+        pre = run[seg[:k] + local]
+        m = pre / np.maximum(c, 1)
         counts = c[-1] + pulled[-1]
         sums = run[seg[1:] - 1]
 

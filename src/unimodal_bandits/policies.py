@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .env import leader
 from .errors import ParameterError
-from .expfam import guard_band
+from .expfam import C_MAX, guard_band
 
 
 def _argmax_lowest(stats):
@@ -71,9 +71,7 @@ class _IndexRule:
         """Arm of minimal index n KL(mean, mu_star) + log n among cands,
         lowest index on ties. The leader, of count n_lead, is among them,
         so the minimum is at most log n_lead: an arm whose floor clears that
-        is skipped, and every other arm is evaluated exactly. A mu_star
-        outside the finite means, which an overflowed sum gives, skips no
-        arm, so that kl refuses it whatever the floors hold.
+        is skipped, and every other arm is evaluated exactly.
         """
         counts = stats.counts
         means = stats.means
@@ -83,7 +81,7 @@ class _IndexRule:
         cuts = self._cut
         kl = self.family.kl
         log = math.log
-        log_lead = log(n_lead) if mu_star < math.inf else math.inf
+        log_lead = log(n_lead)
         best = cands[0]
         best_val = math.inf
         for a in cands:
@@ -121,9 +119,7 @@ class _IndexRule:
         computes it, is above lead's on every decision: the argmin is
         lead alone, and the rule picks it. A cached floor serves when its
         key matches and its ref is at most m_min; every other floor is
-        evaluated at m_min, one divergence, and stored. A candidate whose
-        mean is not finite fails the check without a divergence, so that
-        select meets it as it would step by step: certify never raises.
+        evaluated at m_min, one divergence, and stored.
         """
         counts = stats.counts
         means = stats.means
@@ -139,7 +135,7 @@ class _IndexRule:
             x = means[a]
             if cuts[a] > log_last and m_min >= refs[a] and key_n[a] == n and key_m[a] == x:
                 continue
-            if not -math.inf < x or not self._store_floor(a, n, x, m_min) > log_last:
+            if not self._store_floor(a, n, x, m_min) > log_last:
                 return False
         return True
 
@@ -187,16 +183,17 @@ class Osub:
     is pulled, largest value winning and ties going to the lowest index.
 
     Only the winner is needed, not its bound. select solves the leader's
-    inverse v first and skips a candidate of mean m < v < inf and budget b
+    inverse v first and skips a candidate of mean m < v and budget b
     when d = kl(m, v) > b + guard_band(d, b, 1). By kl_upper_inverse's
-    contract the candidate's bound r is m, or has kl(m, r) <= b, or is inf
-    only when no float has kl(m, q) > b beyond rounding. KL(m, .) does not
-    decrease above m, so r < v strictly: a skipped arm is never a maximum,
-    and an exact tie is never skipped. The band covers the rounding of kl
-    at r and at v: kl sums at most two terms of size at most 1 + kl
-    (Bernoulli: m log(q/m) <= q - m <= 1; Exponential: (q - m)/q < 1),
-    each off by a few eps of its size, so the two evaluations err by less
-    than about 16 eps (1 + b + d), a quarter of the band.
+    contract the candidate's bound r is m, or has kl(m, r) <= b. KL(m, .)
+    does not decrease above m, so r < v strictly: a skipped arm is never a
+    maximum, and an exact tie is never skipped. The band covers the
+    rounding of kl at r and at v: kl sums at most two terms of size at
+    most 1 + kl (Bernoulli: m log(q/m) <= q - m <= 1; Exponential:
+    (q - m)/q < 1), each off by a few eps of its size, so the two
+    evaluations err by less than about 16 eps (1 + b + d), a quarter of
+    the band. An Exponential d that overflows (expfam's module docstring)
+    is inf, whose band is inf too: that arm is solved exactly.
     """
 
     def __init__(self, family, graph, gamma=None, c=0.0):
@@ -204,8 +201,7 @@ class Osub:
             gamma = graph.max_degree()
         if int(gamma) != gamma or gamma < 0:
             raise ParameterError(f"gamma must be a nonnegative integer, got {gamma!r}")
-        if not math.isfinite(c) or c < 0:
-            raise ParameterError(f"c must be a finite number >= 0, got {c!r}")
+        require_c(c)
         self.family = family
         self.gamma = int(gamma)
         self.c = float(c)
@@ -238,7 +234,7 @@ class Osub:
                 continue
             x = means[a]
             b = bonus / counts[a]
-            if x < best_val < math.inf:
+            if x < best_val:
                 d = kl(x, best_val)
                 if d > b + guard_band(d, b, 1):
                     continue
@@ -247,6 +243,13 @@ class Osub:
                 best_val = v
                 best = a
         return best
+
+
+def require_c(c):
+    """Raise ParameterError unless c, OSUB's loglog weight, lies in [0,
+    C_MAX], where kl_upper_inverse takes every budget Osub asks for."""
+    if not 0.0 <= c <= C_MAX:
+        raise ParameterError(f"c must lie in [0, {C_MAX}], got {c!r}")
 
 
 class Uts:

@@ -10,7 +10,6 @@ the grid or in which order.
 import json
 import math
 import re
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
@@ -21,10 +20,10 @@ import numpy as np
 
 from .env import BanditConfig, PullStats
 from .errors import ConfigError, ParameterError
-from .expfam import make_family
+from .expfam import PULLS_MAX, make_family
 from .graph import UnimodalGraph, line_graph
 from .invariants import AUDITED_RULE, ViolationTally, audit
-from .policies import PolicySpec, make_policy
+from .policies import PolicySpec, make_policy, require_c
 
 DEFAULT_GRID_POINTS = 200
 # rewards a run draws from an arm's generator at once
@@ -167,8 +166,9 @@ def _parse_policy(entry, path):
     if gamma is not None and (not _is(gamma, int) or gamma < 0):
         raise ConfigError(f"{path}.gamma: must be a nonnegative integer")
     c = entry.get("c", 0.0)
-    if not _is(c, (int, float)) or not math.isfinite(c) or c < 0:
-        raise ConfigError(f"{path}.c: must be a finite number >= 0")
+    if not _is(c, (int, float)):
+        raise ConfigError(f"{path}.c: must be a number")
+    _at(f"{path}.c", require_c, c)
     label = entry.get("label", "")
     if not isinstance(label, str) or (label and not _LABEL.fullmatch(label)):
         raise ConfigError(f"{path}.label: must be a string matching {_LABEL.pattern}")
@@ -179,8 +179,9 @@ def parse_config(data):
     """Validate a raw config mapping into an ExperimentConfig.
 
     Errors report the offending field path. The family, the graph and
-    the resolved bandit instance (mean domains, unimodality) are built
-    once here, so their errors name their fields too.
+    the resolved bandit instance (the declared domain of expfam,
+    unimodality) are built once here, so their errors name their fields
+    too.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root: expected an object")
@@ -243,8 +244,10 @@ def parse_config(data):
     policies = tuple(labeled.values())
 
     horizon = _want(data, "horizon", int, "", required=True)
-    if horizon < len(means):
-        raise ConfigError(f"horizon: must be an integer >= arm count {len(means)}")
+    if not len(means) <= horizon < PULLS_MAX:
+        raise ConfigError(
+            f"horizon: must be an integer >= arm count {len(means)} and below {PULLS_MAX}"
+        )
     runs = _want(data, "runs", int, "", default=1)
     if runs < 1:
         raise ConfigError("runs: must be an integer >= 1")
@@ -281,14 +284,6 @@ def parse_config(data):
         raise ConfigError("workers: must be an integer >= 1")
 
     BanditConfig(family, means, graph)
-    # a run adds up to horizon rewards of one arm, and their sum must stay
-    # finite for its empirical mean to be one
-    for i, m in enumerate(means):
-        if horizon * family.reward_bound(m) > sys.float_info.max:
-            raise ConfigError(
-                f"means[{i}]: the sum of {horizon} rewards at mean {m!r} can "
-                f"overflow; use a smaller mean or horizon"
-            )
     return ExperimentConfig(
         kind=kind.lower(),
         variance=variance,
@@ -365,11 +360,10 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
     next rewards without serving them, adding them to L's sum one at a
     time, as record does. Decision i of the run sees L's mean m_i after i
     more pulls; the run stops before the first m_i that is not above every
-    other mean or not a finite mean of the family's closed domain. The
-    rule's certify(stats, L, k, m_min), with m_min the least of m_0, ...,
-    m_(k-1), must then vouch that select picks L on all k decisions, and
-    only then are the k pulls applied at once, leaving L's count, sum and
-    mean as k record calls would. A run pulled in full doubles the next
+    other mean. The rule's certify(stats, L, k, m_min), with m_min the
+    least of m_0, ..., m_(k-1), must then vouch that select picks L on all
+    k decisions, and only then are the k pulls applied at once, leaving
+    L's count, sum and mean as k record calls would. A run pulled in full doubles the next
     try; a shorter, refused or empty one starts again at
     _LEADER_RUN_START. The log is the one select gives step by step.
 
@@ -404,8 +398,6 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
     select = policy.select
     record = stats.record
     counts, sums, means = stats.counts, stats.sums, stats.means
-    # the largest finite mean of the family's closed domain
-    top = min(family.mean_hi, sys.float_info.max)
     certify = getattr(policy, "certify", None)
     run = _LEADER_RUN_START
     t = n
@@ -442,7 +434,7 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
             s = sums[lead]
             m = m_min = best
             for x in block[i:i + j]:
-                if not rival < m <= top:
+                if not rival < m:
                     break
                 if m < m_min:
                     m_min = m
@@ -716,15 +708,14 @@ def _scan_rows(lines, done, path, arm_count, family):
                 type(arm) is int
                 and 0 <= arm < arm_count
                 and type(reward) in (float, int)
-                and math.isfinite(reward)
-                and family.mean_lo <= reward <= family.mean_hi
+                and family.in_reward_domain(reward)
             )
-        except (TypeError, ValueError, OverflowError, RecursionError):
+        except (TypeError, ValueError, RecursionError):
             ok = False
         if not ok:
             raise ConfigError(
                 f"{path}:{lineno}: expected [arm, reward] with an integer arm in "
-                f"[0, {arm_count}) and a reward in [{family.mean_lo}, "
+                f"[0, {arm_count}) and a reward 0 or in [{family.reward_lo}, "
                 f"{family.mean_hi}], got {line.strip()[:60]!r}"
             )
         pull = done + len(arms)
@@ -744,10 +735,11 @@ def read_trace(path, arm_count, family):
     returns it.
 
     A trace is outside input: the header must be a JSON object, every row
-    [arm, reward] with an integer arm in [0, arm_count) and a finite real
-    reward in the family's closed mean domain, and the first arm_count
-    pulls the forced initialization 0, 1, ..., arm_count - 1. Anything
-    else is a ConfigError naming the file and line.
+    [arm, reward] with an integer arm in [0, arm_count) and a reward of
+    expfam's declared domain, 0 or in [family.reward_lo, family.mean_hi],
+    and the first arm_count pulls the forced initialization 0, 1, ...,
+    arm_count - 1. Anything else is a ConfigError naming the file and
+    line.
 
     The body is read in chunks of whole lines, about _READ_CHUNK
     characters each, so the text held at once is one chunk's. A chunk
@@ -780,9 +772,7 @@ def read_trace(path, arm_count, family):
                     len(rows) == 2 * lines
                     and (init == np.arange(done, done + len(init))).all()
                     and arms.max() < arm_count
-                    and np.isfinite(values).all()
-                    and family.mean_lo <= values.min()
-                    and values.max() <= family.mean_hi
+                    and family.in_reward_domain(values).all()
                 )
             if ok:
                 arms = arms.astype(np.intp)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 from itertools import islice
 
 import numpy as np
@@ -32,34 +31,30 @@ def bisect_kl_upper_inverse(family, mu_hat, budget):
     """Reference KL upper inverse for the Newton solver in expfam: plain
     bisection on kl(mu_hat, q) <= budget.
 
-    A finite domain top caps the bracket; otherwise it grows by doubling
-    until kl exceeds the budget, up to the largest float, and a budget that
-    even that one meets gives the top of the domain. Returns the lower end
-    of a bracket at most 1e-10 wide, or after BISECT_MAX_ITER halvings when
-    floats that large are coarser than that.
+    Bernoulli's domain top caps the bracket; otherwise it grows by
+    doubling until kl exceeds the budget, which inside the declared domain
+    it does at a finite mean. Returns the lower end of a bracket at most
+    1e-10 wide, or after BISECT_MAX_ITER halvings when floats that large
+    are coarser than that.
     """
     if budget == 0.0 or mu_hat >= family.mean_hi:
         return mu_hat
     kl = family.kl
     lo = mu_hat
-    if math.isfinite(family.mean_hi):
+    if family.name == "bernoulli":
         hi = family.mean_hi
         if kl(mu_hat, hi) <= budget:
             return hi
     else:
-        top = sys.float_info.max
         step = 1.0 + abs(mu_hat)
-        hi = min(mu_hat + step, top)
+        hi = mu_hat + step
         while kl(mu_hat, hi) <= budget:
-            if hi == top:
-                return family.mean_hi
             lo = hi
             step *= 2.0
-            hi = min(mu_hat + step, top)
+            hi = mu_hat + step
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break
-        # halves first: lo + hi can overflow near the largest float
         mid = 0.5 * lo + 0.5 * hi
         if kl(mu_hat, mid) <= budget:
             lo = mid
@@ -130,15 +125,14 @@ def read_trace_by_line(path, arm_count, family):
                     type(arm) is int
                     and 0 <= arm < arm_count
                     and type(reward) in (float, int)
-                    and math.isfinite(reward)
-                    and family.mean_lo <= reward <= family.mean_hi
+                    and (reward == 0 or family.reward_lo <= reward <= family.mean_hi)
                 )
-            except (TypeError, ValueError, OverflowError, RecursionError):
+            except (TypeError, ValueError, RecursionError):
                 ok = False
             if not ok:
                 raise ConfigError(
                     f"{path}:{lineno}: expected [arm, reward] with an integer arm in "
-                    f"[0, {arm_count}) and a reward in [{family.mean_lo}, "
+                    f"[0, {arm_count}) and a reward 0 or in [{family.reward_lo}, "
                     f"{family.mean_hi}], got {line.strip()[:60]!r}"
                 )
             if len(actions) < arm_count and arm != len(actions):

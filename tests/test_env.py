@@ -53,7 +53,7 @@ def test_config_rejects_out_of_domain_means():
     "family, means, arm",
     [
         (Bernoulli(), (0.1, 0.30000000000000004, 0.3), 2),
-        (Gaussian(1e300), (0.0, 1e-300, 0.0), 0),
+        (Gaussian(1e100), (0.0, 1e-300, 0.0), 0),
     ],
     ids=["bernoulli", "gaussian"],
 )

@@ -18,18 +18,29 @@ from unimodal_bandits import (
     ParameterError,
     make_family,
 )
-from unimodal_bandits.expfam import guard_band
+from unimodal_bandits.expfam import (
+    BUDGET_MAX,
+    MEAN_MAX,
+    MEAN_MIN,
+    PULLS_MAX,
+    REWARD_MAX,
+    REWARD_MIN,
+    VARIANCE_MAX,
+    VARIANCE_MIN,
+    guard_band,
+)
 
 from conftest import FAMILIES, bisect_kl_upper_inverse, variance_sup
 
 EPS = sys.float_info.epsilon
-# a variance at which the squared difference of two means overflows long
-# before their divergence does
-WIDE = Gaussian(1e300)
-# and one at which twice the variance overflows
-HUGE = Gaussian(1.5e308)
-KL_FAMILIES = [*FAMILIES, WIDE, HUGE]
-KL_IDS = [*(f.name for f in FAMILIES), "gaussian-1e300", "gaussian-1.5e308"]
+# the least positive empirical mean of Bernoulli and Exponential: one
+# reward of REWARD_MIN among fewer than 2^63 pulls
+LEAST = REWARD_MIN / PULLS_MAX
+# the Gaussian variances at the edges of the declared domain
+NARROW = Gaussian(VARIANCE_MIN)
+WIDE = Gaussian(VARIANCE_MAX)
+KL_FAMILIES = [*FAMILIES, NARROW, WIDE]
+KL_IDS = [*(f.name for f in FAMILIES), "gaussian-min-variance", "gaussian-max-variance"]
 
 
 def mean_grid(family, n=12, pad=0.0):
@@ -98,29 +109,14 @@ def test_kl_gaussian_unit_variance_half():
 
 
 def test_kl_gaussian_uses_configured_variance():
-    assert Gaussian(0.25).kl(0.20, 0.25) == pytest.approx(0.05**2 / 0.5, abs=1e-15)
-    # the difference squared overflows, the divergence does not
-    assert WIDE.kl(0.0, 1e155) == pytest.approx(5e9, rel=1e-15)
-    # twice the variance overflows, the divergence does not round to 0
-    assert HUGE.kl(0.0, 1e150) == pytest.approx(1e-8 / 3.0, rel=1e-15)
-    assert HUGE.kl_many(np.array([0.0]), np.array([1e150]))[0] == HUGE.kl(0.0, 1e150)
-
-
-def test_kl_gaussian_where_the_mean_difference_overflows():
-    # 1e308 - (-1e308) overflows, but each mean over sigma does not, and
-    # neither does the divergence (2e308 / sigma)^2 / 2
-    top = Gaussian(sys.float_info.max)
-    half = 1e308 / top.sigma
-    want = 0.5 * (2.0 * half) * (2.0 * half)
-    assert want == pytest.approx(1.1125369292536e308, rel=1e-12)
-    assert top.kl(-1e308, 1e308) == want
+    # at the domain's edges: the widest means over the narrowest variance,
+    # and means far apart over the widest one, stay finite
+    assert NARROW.kl(-REWARD_MAX, REWARD_MAX) == pytest.approx(2e304, rel=1e-15)
+    assert WIDE.kl(0.0, REWARD_MAX) == pytest.approx(5e103, rel=1e-15)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = top.kl_many(np.array([-1e308, 0.0]), np.array([1e308, 1e150]))
-        # at unit variance the divergence itself overflows
-        unit = Gaussian(1.0).kl_many(np.array([-1e308, 0.0]), np.array([1e308, 0.5]))
-    assert got.tolist() == [want, top.kl(0.0, 1e150)]
-    assert unit.tolist() == [math.inf, 0.125] == [Gaussian(1.0).kl(-1e308, 1e308), 0.125]
+        got = NARROW.kl_many(np.array([-REWARD_MAX]), np.array([REWARD_MAX]))
+    assert got[0] == NARROW.kl(-REWARD_MAX, REWARD_MAX)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
@@ -137,13 +133,15 @@ def test_kl_bernoulli_against_two_point_oracle():
 def test_kl_exponential_closed_form():
     expo = Exponential()
     assert expo.kl(0.2, 0.25) == pytest.approx(math.log(1.25) + 0.8 - 1.0, abs=1e-15)
-    # means whose ratio 1e312 overflows a float
-    far = 312.0 * math.log(10.0) - 1.0
-    assert expo.kl(1e-12, 1e300) == pytest.approx(far, rel=1e-14)
-    assert expo._kl_newton(1e-12, 1e300)[0] == expo.kl(1e-12, 1e300)
-    # a second mean below 2^-53 of the first, which rounds d / mu to -1
+    # the widest ratio of the closed domain, about 1e271
+    far = math.log(REWARD_MAX / LEAST) - 1.0
+    assert expo.kl(LEAST, REWARD_MAX) == pytest.approx(far, rel=1e-14)
+    assert expo._kl_newton(LEAST, REWARD_MAX)[0] == expo.kl(LEAST, REWARD_MAX)
+    # the precision branch: a second mean below 2^-53 of the first rounds
+    # d / mu to -1, outside log1p's domain
     assert expo.kl(2.0**60, 1.0) == pytest.approx(2.0**60 - 1.0 - 60.0 * math.log(2.0), rel=1e-15)
-    assert expo.kl(1e300, 1e-10) == math.inf
+    assert expo.kl(1.0, 1e-20) == pytest.approx(1e20 - 1.0 - 20.0 * math.log(10.0), rel=1e-15)
+    assert expo.kl(REWARD_MAX, LEAST) == pytest.approx(REWARD_MAX / LEAST, rel=1e-15)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
@@ -227,11 +225,39 @@ def test_mean_domain_checks():
         Bernoulli().require_mean_closure(-0.01)
 
 
+@pytest.mark.parametrize(
+    "family, check, inside, outside",
+    [
+        (Bernoulli(), "require_mean", [5e-324, 1.0 - EPS / 2], [0.0, 1.0, -5e-324, math.nan]),
+        (Gaussian(1.0), "require_mean", [-MEAN_MAX, MEAN_MAX], [-1.01 * MEAN_MAX, 1.01 * MEAN_MAX]),
+        (Exponential(), "require_mean", [MEAN_MIN, MEAN_MAX], [0.99 * MEAN_MIN, 1.01 * MEAN_MAX]),
+        (Bernoulli(), "require_mean_closure", [0.0, LEAST, 1.0], [LEAST / 2, 1.0 + EPS]),
+        (Gaussian(1.0), "require_mean_closure", [-REWARD_MAX, 5e-324, REWARD_MAX],
+         [-1.01 * REWARD_MAX, 1.01 * REWARD_MAX, math.inf, math.nan]),
+        (Exponential(), "require_mean_closure", [0.0, LEAST, REWARD_MAX],
+         [5e-324, LEAST / 2, 1.01 * REWARD_MAX, math.inf]),
+    ],
+    ids=["bernoulli-true", "gaussian-true", "exponential-true", "bernoulli-closed", "gaussian-closed",
+         "exponential-closed"],
+)
+def test_mean_checks_hold_the_declared_domain(family, check, inside, outside):
+    for mu in inside:
+        getattr(family, check)(mu)
+    for mu in outside:
+        with pytest.raises(ParameterError):
+            getattr(family, check)(mu)
+
+
 def test_gaussian_requires_positive_variance():
     with pytest.raises(ParameterError):
         Gaussian(0.0)
     with pytest.raises(ParameterError):
         Gaussian(-1.0)
+    # the declared domain's edges
+    assert NARROW.sigma2 == VARIANCE_MIN and WIDE.sigma2 == VARIANCE_MAX
+    for variance in (0.99 * VARIANCE_MIN, 1.01 * VARIANCE_MAX, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            Gaussian(variance)
 
 
 def test_make_family():
@@ -320,17 +346,10 @@ def test_inverse_zero_budget_is_identity(family):
 
 def test_inverse_gaussian_analytic():
     assert Gaussian(1.0).kl_upper_inverse(0.0, 0.5) == pytest.approx(1.0, abs=1e-9)
-    # 2 variance budget overflows, the root does not
-    out = WIDE.kl_upper_inverse(0.0, 1e10)
-    assert out == pytest.approx(math.sqrt(2.0) * 1e155, rel=1e-15)
-    assert WIDE.kl(0.0, out) <= 1e10
-    # and where 2 budget itself overflows
-    out = Gaussian(1.0).kl_upper_inverse(0.0, 1e308)
-    assert out == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
-    # and where 2 variance itself overflows: kl at the root is the budget
-    out = HUGE.kl_upper_inverse(0.0, 1.0)
-    assert out == pytest.approx(math.sqrt(2.0) * HUGE.sigma, rel=1e-15)
-    assert HUGE.kl(0.0, out) == pytest.approx(1.0, rel=1e-15)
+    # the widest variance at the largest budget
+    out = WIDE.kl_upper_inverse(0.0, BUDGET_MAX)
+    assert out == pytest.approx(math.sqrt(2.0 * VARIANCE_MAX * BUDGET_MAX), rel=1e-15)
+    assert WIDE.kl(0.0, out) <= BUDGET_MAX
 
 
 def test_inverse_bernoulli_round_trip_of_kl():
@@ -339,9 +358,11 @@ def test_inverse_bernoulli_round_trip_of_kl():
     assert bern.kl_upper_inverse(0.2, budget) == pytest.approx(0.25, abs=1e-8)
 
 
-def test_inverse_rejects_negative_budget():
-    with pytest.raises(ParameterError):
-        Bernoulli().kl_upper_inverse(0.5, -1e-9)
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_inverse_rejects_budgets_outside_the_domain(family):
+    for budget in (-1e-9, math.nextafter(BUDGET_MAX, math.inf), math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            family.kl_upper_inverse(0.5, budget)
 
 
 def test_inverse_at_domain_top():
@@ -361,11 +382,10 @@ def inverse_inputs(family, rng, n=3000):
         edge_mus = [0.0, 1e-12, 1.0, 1e6]
     budgets = 10.0 ** rng.uniform(-12.0, 1.5, n)
     pairs = list(zip(mus.tolist(), budgets.tolist()))
-    edge_budgets = [0.0, 1e-12, 1e-9, 1e-6, 0.01, 1.0, 10.0, math.inf]
+    edge_budgets = [0.0, 1e-12, 1e-9, 1e-6, 0.01, 1.0, 10.0, BUDGET_MAX]
     if family.name == "exponential":
-        # roots far above mu_hat; from a budget of about 708 on they leave
-        # float range
-        edge_budgets += [50.0, 200.0, 1e3, 1e6]
+        # roots far above mu_hat
+        edge_budgets += [50.0, 200.0]
     pairs += [(m, b) for m in edge_mus for b in edge_budgets]
     return pairs
 
@@ -375,15 +395,7 @@ def test_inverse_matches_bisection_oracle(family):
     rng = np.random.default_rng(17)
     for mu, budget in inverse_inputs(family, rng):
         out = family.kl_upper_inverse(mu, budget)
-        if budget == math.inf:
-            # every mean fits an infinite budget
-            assert out == family.mean_hi, (mu, out)
-            continue
         oracle = bisect_kl_upper_inverse(family, mu, budget)
-        if oracle == math.inf:
-            # a root past float range gives the top of the domain
-            assert out == oracle, (mu, budget, out)
-            continue
         # where the root is far above mu_hat, kl computed to an ulp of the
         # budget pins it only to about budget ulps relative
         tol = max(1e-10, 4.0 * EPS * budget * oracle)
@@ -391,28 +403,14 @@ def test_inverse_matches_bisection_oracle(family):
         assert family.kl(mu, out) <= budget, (mu, budget, out)
 
 
-def test_exponential_inverse_finds_a_root_past_the_bracket_overflow():
-    # mu e^(b+1), the bracket's top, overflows, yet kl(mu, q) passes b below
-    # the largest float: the root is a float, pinned to an ulp
-    expo = Exponential()
-    for mu, budget in [(sys.float_info.max / 2, 0.1), (sys.float_info.max / 4, 0.5)]:
-        assert expo.kl(mu, sys.float_info.max) > budget
-        out = expo.kl_upper_inverse(mu, budget)
-        assert out < math.inf
-        assert expo.kl(mu, out) <= budget < expo.kl(mu, math.nextafter(out, math.inf))
-
-
-def contract_means(family):
-    """Means of family's closed domain, its edges drawn often: Bernoulli 0
-    and 1, Exponential 0 and the largest floats, Gaussian any finite one."""
-    top = sys.float_info.max
-    if family.name == "bernoulli":
-        edges, inner = [0.0, 1.0, 5e-324, 1.0 - EPS / 2], st.floats(0.0, 1.0)
-    elif family.name == "gaussian":
-        edges, inner = [0.0, -top, top], st.floats(allow_nan=False, allow_infinity=False)
-    else:
-        edges, inner = [0.0, 5e-324, top / 2, top], st.floats(0.0, top)
-    return st.one_of(st.sampled_from(edges), inner)
+# each family's closed mean domain, its edge means drawn often
+DOMAIN_MEANS = {
+    "bernoulli": st.sampled_from([0.0, 1.0, LEAST, 1.0 - EPS / 2, 0.5]) | st.floats(LEAST, 1.0),
+    "gaussian": st.sampled_from([0.0, -5e-324, REWARD_MAX, -REWARD_MAX])
+    | st.floats(-REWARD_MAX, REWARD_MAX),
+    "exponential": st.sampled_from([0.0, LEAST, REWARD_MAX / 2, REWARD_MAX, 1.0])
+    | st.floats(LEAST, REWARD_MAX),
+}
 
 
 INVERSES = [
@@ -428,16 +426,32 @@ INVERSES = [
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_inverse_contract(name, family, inverse, data):
-    # what Osub.select's certificate rests on: the result is mu_hat, or kl
-    # at it is within the budget, or inf only when kl at the largest float
-    # is within the budget too
-    mu = data.draw(contract_means(family))
-    budget = data.draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e3)))
+    # what Osub.select's certificate rests on: the result is finite, and
+    # mu_hat or within the budget
+    mu = data.draw(DOMAIN_MEANS[family.name])
+    budget = data.draw(st.one_of(st.sampled_from([0.0, BUDGET_MAX]), st.floats(1e-12, BUDGET_MAX)))
     r = inverse(mu, budget)
-    if r == math.inf:
-        assert family.kl(mu, sys.float_info.max) <= budget, (mu, budget)
-    else:
-        assert r == mu or family.kl(mu, r) <= budget, (mu, budget, r)
+    assert math.isfinite(r), (mu, budget)
+    assert r == mu or family.kl(mu, r) <= budget, (mu, budget, r)
+
+
+CORNER_MEANS = {
+    "bernoulli": [0.0, LEAST, 0.5, 1.0 - EPS / 2, 1.0],
+    "gaussian": [-REWARD_MAX, -MEAN_MAX, 0.0, MEAN_MAX, REWARD_MAX],
+    "exponential": [0.0, LEAST, MEAN_MIN, 1.0, MEAN_MAX, REWARD_MAX],
+}
+
+
+@pytest.mark.parametrize("family", KL_FAMILIES, ids=KL_IDS)
+def test_inverse_at_the_domain_corners(family):
+    # edge means, edge variances and the largest budget: the solvers end,
+    # with a finite result that meets the contract. A kl that overflowed
+    # at such a corner could hold Gaussian's ulp-by-ulp descent forever
+    for mu in CORNER_MEANS[family.name]:
+        for budget in (0.0, 1e-12, 1.0, BUDGET_MAX):
+            r = family.kl_upper_inverse(mu, budget)
+            assert math.isfinite(r) and r >= mu, (mu, budget, r)
+            assert r == mu or family.kl(mu, r) <= budget, (mu, budget, r)
 
 
 def kl_target_slope(family, mu, out):
@@ -507,24 +521,15 @@ def test_exponential_kl_monotone_property(mu, lift, extra):
     assert b >= a - 1e-15
 
 
-MAX = sys.float_info.max
-# each family's closed mean domain, its boundary means drawn often
-DOMAIN_MEANS = {
-    "bernoulli": st.sampled_from([0.0, 1.0, 5e-324, 1.0 - EPS / 2, 0.5]) | st.floats(0.0, 1.0),
-    "gaussian": st.sampled_from([0.0, -5e-324, MAX, -MAX]) | st.floats(-MAX, MAX),
-    "exponential": st.sampled_from([0.0, 5e-324, MAX, 1.0]) | st.floats(0.0, MAX),
-}
-
-
 @pytest.mark.parametrize("family", KL_FAMILIES, ids=KL_IDS)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_kl_many_matches_kl(family, data):
     # kl_many has kl's inf cases and its 0 at equal means, never goes
-    # below 0, and elsewhere agrees with kl within check_log's guard band
-    # for a single pull
+    # below 0, overflows nowhere in the closed domain, and elsewhere agrees
+    # with kl within check_log's guard band for a single pull
     means = DOMAIN_MEANS[family.name]
-    lo, hi = max(family.mean_lo, -MAX), min(family.mean_hi, MAX)
+    lo, hi = family.mean_lo, family.mean_hi
     close = st.tuples(means, st.floats(-1e-6, 1e-6)).map(
         lambda p: (p[0], min(max(p[0] * (1.0 + p[1]), lo), hi))
     )
@@ -534,7 +539,7 @@ def test_kl_many_matches_kl(family, data):
         )
     )
     mu, q = (np.array(side) for side in zip(*pairs))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="raise"):
         got = family.kl_many(mu, q)
     assert got.shape == mu.shape
     for m, p, g in zip(mu.tolist(), q.tolist(), got.tolist()):

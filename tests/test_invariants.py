@@ -26,6 +26,7 @@ from unimodal_bandits import (
     seed_sequence,
     simulate_policy_run,
 )
+from unimodal_bandits.expfam import REWARD_MIN
 
 from conftest import FAMILIES, HILL_MEANS, make_stats, replay_check_log
 
@@ -227,10 +228,11 @@ def test_check_log_matches_replay_on_random_instances(instance, rule, seed):
         assert want == []
 
 
+# rewards of the declared domain: 0, or at least REWARD_MIN where positive
 REWARDS = {
-    "bernoulli": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    "bernoulli": st.sampled_from([0.0, 1.0]) | st.floats(REWARD_MIN, 1.0),
     "gaussian": st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0),
-    "exponential": st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 5.0),
+    "exponential": st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(REWARD_MIN, 5.0),
 }
 
 
@@ -282,10 +284,18 @@ def audit_outcome(audit, family, actions, rewards):
 @pytest.mark.parametrize("block", [2, invariants._AUDIT_BLOCK])
 @pytest.mark.parametrize("case", sorted(FAULTY_LOGS))
 def test_check_log_raises_where_replay_does(monkeypatch, case, block):
-    # with two-pull blocks, a bad mean found in one block keeps the later
-    # blocks from clearing in bulk
+    # with two-pull blocks, the uninitialized arm keeps the later blocks
+    # from clearing in bulk; a reward outside the declared domain is
+    # refused in its block, naming its pull, before any step is audited
     monkeypatch.setattr(invariants, "_AUDIT_BLOCK", block)
     family, actions, rewards = FAULTY_LOGS[case]
     actions, rewards = np.array(actions), np.array(rewards)
     want = audit_outcome(replay_check_log, family, actions, rewards)
-    assert audit_outcome(check_log, family, actions, rewards) == want
+    got = audit_outcome(check_log, family, actions, rewards)
+    inside = family.in_reward_domain(rewards)
+    if inside.all():
+        assert got == want
+    else:
+        assert want[0] is ParameterError
+        assert got[0] is ParameterError
+        assert got[1].startswith(f"pull {inside.argmin()}: {family.name} reward ")

@@ -31,6 +31,7 @@ from unimodal_bandits import (
     transport_kl,
 )
 from unimodal_bandits import runner
+from unimodal_bandits.expfam import BUDGET_MAX, C_MAX, PULLS_MAX
 from unimodal_bandits.policies import _IndexRule
 
 from conftest import (
@@ -270,53 +271,6 @@ def test_imed_ub_decides_most_hill_steps_in_leader_runs(monkeypatch):
     assert len(calls) <= 0.2 * (20000 - 9)
 
 
-@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
-@pytest.mark.parametrize(
-    "family, means",
-    [
-        (Gaussian(1e300), [0.999e306, 1e306, 0.999e306]),
-        (Exponential(), [0.5e306, 1e306, 0.5e306]),
-    ],
-    ids=["gaussian", "exponential"],
-)
-def test_a_sum_that_overflows_stops_a_leader_run(family, means, rule):
-    # the leader's sum overflows after about 180 pulls, inside a leader
-    # run. The step-by-step loop raises on the first select that reads the
-    # infinite mean, and a run must raise there too, never run on to the
-    # horizon past it
-    bandit = BanditConfig(family, means, line_graph(3))
-    spec = PolicySpec(rule)
-    horizons = range(100, 400, 3)
-    raised = 0
-    for horizon in horizons:
-        seed_seq = seed_sequence(7, horizon, 0)
-        got = simulate_or_error(simulate_policy_run, bandit, spec, seed_seq, horizon)
-        assert got == simulate_or_error(simulate_loop, bandit, spec, seed_seq, horizon), horizon
-        raised += isinstance(got, str)
-    assert 0 < raised < len(horizons)
-
-
-@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
-def test_certify_leaves_a_mean_that_is_not_finite_to_select(rule):
-    # a neighbour whose sum fell to -inf or became nan fails the
-    # certificate instead of raising, so select, step by step, decides
-    # what such a mean does
-    policy = make_policy(PolicySpec(rule), Gaussian(1.0), line_graph(3))
-    for bad in (-math.inf, math.nan):
-        stats = make_stats([5, 5, 5], [bad, 1.0, 0.0])
-        assert policy.certify(stats, 1, 3, 1.0) is False
-    assert policy.certify(make_stats([5, 5, 5], [0.0, 1.0, 0.0]), 1, 3, 1.0) is True
-
-
-def simulate_or_error(simulate, *args):
-    """The log simulate returns, as log_bits, or the message of the
-    ParameterError it raises."""
-    try:
-        return log_bits(*simulate(*args))
-    except ParameterError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("name", sorted(PARITY_BANDITS))
 def test_osub_matches_the_oracle_loop(name):
     # runs 0 and 420 of the acceptance study's seed; c = 3 adds the
@@ -378,20 +332,17 @@ def test_osub_select_matches_the_oracle_loop(data):
 
 def test_osub_a_tie_with_the_leader_goes_to_the_lower_index():
     # Gaussian bounds m + sqrt(2 var b): mean 0 at one pull and mean s/2 at
-    # four pulls both reach s exactly. Exponential bounds past the largest
-    # float are inf for both arms. Either way arm 0 wins the tie, as the
+    # four pulls both reach s exactly, and arm 0 wins the tie, as the
     # neighbour of leader 1 or as the leader
     g = line_graph(2)
     gauss = Gaussian(0.25)
     s = gauss.kl_upper_inverse(0.0, math.log(2))
-    expo = Exponential()
-    cases = [(gauss, [1, 4], [0.0, s / 2], 1), (expo, [1, 1], [1e300, 1.0001e300], 10**9)]
-    for family, counts, means, rounds in cases:
-        for flip in (False, True):
-            stats = make_stats(counts[::-1], means[::-1]) if flip else make_stats(counts, means)
-            policy = Osub(family, g, gamma=2)
-            policy.leader_rounds = [rounds] * 2
-            assert policy.select(stats) == 0, (family, flip)
+    counts, means = [1, 4], [0.0, s / 2]
+    for flip in (False, True):
+        stats = make_stats(counts[::-1], means[::-1]) if flip else make_stats(counts, means)
+        policy = Osub(gauss, g, gamma=2)
+        policy.leader_rounds = [1, 1]
+        assert policy.select(stats) == 0, flip
 
 
 @pytest.mark.parametrize("rule", ["imed-ub", "imed"])
@@ -507,7 +458,13 @@ def test_osub_defaults_gamma_to_max_degree():
         Osub(BERN, line_graph(9), gamma=-1)
 
 
-@pytest.mark.parametrize("c", [-5.0, -1e-300, math.inf, math.nan])
+def test_osub_budgets_stay_within_the_inverse_domain():
+    # the largest budget, at c = C_MAX, one pull and the most leader rounds
+    # a run can reach, is one kl_upper_inverse takes
+    assert Osub(BERN, line_graph(3), c=C_MAX)._bonus(PULLS_MAX - 1) <= BUDGET_MAX < 423.0
+
+
+@pytest.mark.parametrize("c", [-5.0, -1e-300, math.nextafter(C_MAX, math.inf), math.inf, math.nan])
 def test_osub_refuses_negative_or_nonfinite_c(c):
     with pytest.raises(ParameterError):
         Osub(BERN, line_graph(9), c=c)

@@ -48,6 +48,15 @@ from unimodal_bandits import (
     simulate_policy_run,
 )
 from unimodal_bandits.cli import main as cli_main
+from unimodal_bandits.expfam import (
+    C_MAX,
+    MEAN_MAX,
+    MEAN_MIN,
+    REWARD_MAX,
+    REWARD_MIN,
+    VARIANCE_MAX,
+    VARIANCE_MIN,
+)
 from unimodal_bandits.policies import PolicySpec
 from unimodal_bandits.runner import write_config, write_trace
 
@@ -187,7 +196,10 @@ def test_parse_config_field_errors():
         ({"policies": [{"name": "osub", "c": float("inf")}]}, "policies[0].c: "),
         ({"policies": ["imed", {"name": "osub", "c": float("nan")}]}, "policies[1].c: "),
         ({"policies": [{"name": "osub", "c": -5}]}, "policies[0].c: "),
+        ({"policies": [{"name": "osub", "c": None}]}, "policies[0].c: "),
         ({"horizon": 1}, "horizon: "),
+        # a run pulls fewer than 2^63 times, as the declared domain assumes
+        ({"horizon": 2**63}, "horizon: "),
         ({"horizon": 10, "grid": [5, 4]}, "grid[1]: "),
     ]
     for change, prefix in cases:
@@ -561,6 +573,7 @@ DOCTORED_TRACES = {
     "overlong": lambda lines: lines + lines[-1:],
     "reward-5": replace_row("[4,5.0]"),
     "reward-minus-1": replace_row("[4,-1.0]"),
+    "reward-below-min": replace_row(f"[4,{REWARD_MIN / 2!r}]"),
 }
 
 
@@ -576,6 +589,54 @@ def test_cli_check_rejects_malformed_trace(tmp_path, capsys, case):
     capsys.readouterr()
     assert cli_main(["check", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {victim}:")
+
+
+# per family: rewards at the edges of its range, and just outside them
+REWARD_EDGES = {
+    "bernoulli": ([REWARD_MIN, 1.0], [math.nextafter(REWARD_MIN, 0.0), math.nextafter(1.0, 2.0)]),
+    "gaussian": (
+        [-REWARD_MAX, REWARD_MAX],
+        [math.nextafter(-REWARD_MAX, -math.inf), math.nextafter(REWARD_MAX, math.inf)],
+    ),
+    "exponential": (
+        [REWARD_MIN, REWARD_MAX],
+        [math.nextafter(REWARD_MIN, 0.0), math.nextafter(REWARD_MAX, math.inf)],
+    ),
+}
+
+
+@pytest.mark.parametrize("path", ["chunk", "scan"])
+@pytest.mark.parametrize("family", sorted(REWARD_EDGES))
+def test_check_refuses_a_reward_just_outside_the_domain(tmp_path, capsys, monkeypatch, family, path):
+    # every edited row is in the row grammar: a chunk of them is parsed
+    # with np.fromstring, and its range test must pass the edges and
+    # refuse the rewards past them, which _scan_rows then names. A -0 row
+    # sends the chunk to _scan_rows straight away
+    cfg_path = write_cli_config(tmp_path, family=family, means=[0.1, 0.2, 0.1])
+    assert cli_main(["run", str(cfg_path), "--traces"]) == 0
+    victim = sorted((tmp_path / "out" / "traces").glob("*.jsonl"))[0]
+    lines = victim.read_text().splitlines()
+    if path == "scan":
+        lines[11] = f"[{json.loads(lines[11])[0]},-0]"
+    arm = json.loads(lines[12])[0]
+    scans = []
+    scan_rows = runner._scan_rows
+    monkeypatch.setattr(runner, "_scan_rows", lambda *args: scans.append(1) or scan_rows(*args))
+    inside, outside = REWARD_EDGES[family]
+    for reward in inside + outside:
+        victim.write_text("\n".join(lines[:12] + [f"[{arm},{reward!r}]"] + lines[13:]) + "\n")
+        scans.clear()
+        capsys.readouterr()
+        code = cli_main(["check", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if reward in inside:
+            # read; the audit decides the rest
+            assert code in (0, 2), (reward, err)
+            assert len(scans) == (path == "scan"), reward
+        else:
+            assert code == 1, reward
+            assert err.startswith(f"error: {victim}:13: expected [arm, reward]"), (reward, err)
+            assert len(scans) == 1, reward
 
 
 def read_outcome(reader, path, arm_count, family):
@@ -710,9 +771,9 @@ def test_write_trace_output_is_decoded_one_chunk_at_a_time(tmp_path, monkeypatch
 @pytest.mark.parametrize(
     "family, rewards",
     [
-        (Bernoulli(), [5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53, 0.0, -0.0, 1.0]),
-        (Exponential(), [1.7976931348623157e308, 5e-324, 4.9406564584124654e-322, 0.0, 1.5]),
-        (Gaussian(0.25), [-1.7976931348623157e308, -5e-324, -0.0, 1e-310, -2.5, -1e-300]),
+        (Bernoulli(), [REWARD_MIN, 1.0000000000000001e-150, 1.0 - 2.0**-53, 0.0, -0.0, 1.0]),
+        (Exponential(), [REWARD_MAX, REWARD_MIN, 9.999999999999999e+101, 0.0, 1.5]),
+        (Gaussian(0.25), [-REWARD_MAX, -5e-324, -0.0, 1e-310, -2.5, -1e-300]),
     ],
     ids=lambda x: getattr(x, "name", ""),
 )
@@ -735,12 +796,22 @@ def test_trace_grammar_needs_no_python_3_11_syntax():
         assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
 
 
+FLOAT_BITS = st.integers(0, 2**64 - 1)
+
+
+def gaussian_reward(bits):
+    """Whether the float64 of these bits is a Gaussian reward of the
+    declared domain; a NaN is not."""
+    return abs(float(np.uint64(bits).view(np.float64))) <= REWARD_MAX
+
+
 @pytest.mark.parametrize("chunk", [16, runner._READ_CHUNK])
 @settings(max_examples=100, deadline=None)
-@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@given(bits=st.lists(FLOAT_BITS.filter(gaussian_reward) | FLOAT_BITS, min_size=1, max_size=40))
 def test_fast_parse_is_bit_exact_on_random_floats(chunk, bits):
-    # any float64 as write_trace writes it reads back with its bits, as the
-    # line reader reads it; a NaN or an infinity is refused by both
+    # any float64 of Gaussian's reward range as write_trace writes it reads
+    # back with its bits, as the line reader reads it; a NaN, an infinity
+    # or a float past the range is refused by both
     family = Gaussian(1.0)
     rewards = np.array([0.0, 0.0, 0.0, *bits], dtype=np.uint64).view(np.float64)
     actions = np.arange(len(rewards)) % 3
@@ -749,7 +820,7 @@ def test_fast_parse_is_bit_exact_on_random_floats(chunk, bits):
         write_trace(path, {"run": 0}, actions, rewards)
         got = read_outcome(read_trace, path, 3, family)
         assert got == read_outcome(read_trace_by_line, path, 3, family)
-    if np.isfinite(rewards).all():
+    if all(map(gaussian_reward, bits)):
         assert got == ("log", ({"run": 0}, *log_bits(actions, rewards)))
 
 
@@ -758,7 +829,7 @@ def test_fast_parse_is_bit_exact_on_random_floats(chunk, bits):
 LITERAL_REWARDS = {
     "1E5": 1e5,
     "5e-324": 5e-324,
-    "1.7976931348623157e+308": 1.7976931348623157e308,
+    "1e+102": 1e102,
     "-0": 0.0,
     "-0.0": -0.0,
     "-0e0": -0.0,
@@ -998,7 +1069,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     "family, means",
     [
         ("bernoulli", [0.1, 0.30000000000000004, 0.3]),
-        ({"kind": "gaussian", "variance": 1e300}, [0.0, 1e-300, 0.0]),
+        ({"kind": "gaussian", "variance": 1e100}, [0.0, 1e-300, 0.0]),
     ],
     ids=["bernoulli", "gaussian"],
 )
@@ -1014,44 +1085,65 @@ def test_cli_refuses_a_neighbor_whose_divergence_rounds_to_zero(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "theory"])
-@pytest.mark.parametrize("kind", ["gaussian", "exponential"])
-def test_cli_refuses_a_mean_whose_reward_sums_can_overflow(tmp_path, capsys, kind, command):
-    # the sums of rewards near the largest float overflow, and the run
-    # would stop on an infinite mean that names no field
-    cfg_path = write_cli_config(
-        tmp_path, family=kind, means=[1e308, 1.7e308, 1e308], grid=[100], horizon=100
-    )
-    assert cli_main([command, str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: means[0]: the sum of 100 rewards at mean 1e+308 can overflow")
-    assert not (tmp_path / "out").exists()
+def nudge(x, toward):
+    return math.nextafter(x, toward)
+
+
+# (field path, config fields just inside the declared domain, the same
+# fields with the one at field path just outside it)
+DOMAIN_EDGES = [
+    (
+        "means[1]",
+        {"family": "gaussian", "means": [MEAN_MAX / 2, MEAN_MAX, MEAN_MAX / 2]},
+        {"family": "gaussian", "means": [MEAN_MAX / 2, nudge(MEAN_MAX, math.inf), MEAN_MAX / 2]},
+    ),
+    (
+        "means[0]",
+        {"family": "exponential", "means": [MEAN_MIN, MEAN_MAX, MEAN_MIN]},
+        {"family": "exponential", "means": [nudge(MEAN_MIN, 0.0), MEAN_MAX, MEAN_MIN]},
+    ),
+    (
+        "family.variance",
+        {"family": {"kind": "gaussian", "variance": VARIANCE_MIN}},
+        {"family": {"kind": "gaussian", "variance": nudge(VARIANCE_MIN, 0.0)}},
+    ),
+    (
+        "family.variance",
+        {"family": {"kind": "gaussian", "variance": VARIANCE_MAX}},
+        {"family": {"kind": "gaussian", "variance": nudge(VARIANCE_MAX, math.inf)}},
+    ),
+    (
+        "policies[1].c",
+        {"policies": ["imed-ub", {"name": "osub", "c": C_MAX}]},
+        {"policies": ["imed-ub", {"name": "osub", "c": nudge(C_MAX, math.inf)}]},
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "family, span",
-    [({"kind": "gaussian", "variance": 1e-300}, 1.0), ({"kind": "exponential"}, 64.0)],
-    ids=["gaussian", "exponential"],
+    "field, inside, outside", DOMAIN_EDGES, ids=[f"{e[0]}-{i}" for i, e in enumerate(DOMAIN_EDGES)]
 )
-def test_config_admits_large_means_whose_sums_stay_finite(family, span):
-    # either side of the mean at which 100 rewards can first overflow: a
-    # Gaussian reward lies within 64 standard deviations of the mean, an
-    # Exponential one below 64 means
-    bound = sys.float_info.max / 100 / span
-    good = {"family": family, "policies": ["imed"], "horizon": 100}
-    parse_config({**good, "means": [bound / 2, bound * 0.9, bound / 2]})
-    with pytest.raises(ConfigError, match=r"^means\[1\]: "):
-        parse_config({**good, "means": [bound / 2, bound * 1.1, bound / 2]})
-
-
-def test_cli_theory_on_a_variance_above_half_the_largest_float(tmp_path, capsys):
-    # twice the variance overflows; the divergence of the neighbours is
-    # still about 3e-9, not 0
-    cfg_path = write_cli_config(
-        tmp_path, family={"kind": "gaussian", "variance": 1.5e308}, means=[0.0, 1e150, 0.0]
-    )
-    assert cli_main(["theory", str(cfg_path)]) == 0
-    assert "c_nu" in capsys.readouterr().out
+def test_cli_runs_inside_the_declared_domain_and_refuses_outside_it(
+    tmp_path, capsys, field, inside, outside
+):
+    base = {"means": [0.1, 0.2, 0.1], "policies": ["imed-ub", "osub"], "horizon": 200,
+            "runs": 1, "grid": [200]}
+    (tmp_path / "good").mkdir()
+    (tmp_path / "bad" / "out").mkdir(parents=True)
+    good = write_cli_config(tmp_path / "good", **{**base, **inside})
+    assert cli_main(["run", str(good), "--traces"]) == 0
+    assert cli_main(["check", str(tmp_path / "good" / "out")]) == 0
+    assert cli_main(["theory", str(good)]) == 0
+    capsys.readouterr()
+    bad = write_cli_config(tmp_path / "bad", **{**base, **outside})
+    # check reads the config.json next to the traces
+    (tmp_path / "bad" / "out" / "config.json").write_text(bad.read_text())
+    for argv in (["run", str(bad)], ["theory", str(bad)], ["check", str(tmp_path / "bad" / "out")]):
+        assert cli_main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: "), (argv, err)
+        assert "Traceback" not in err
+    assert not (tmp_path / "bad" / "out" / "regret.csv").exists()
 
 
 def test_cli_overrides(tmp_path, capsys):
