@@ -12,7 +12,10 @@ so a simulation can apply the run in bulk.
 
 OSUB solves the KL upper inverse exactly for the leader only. Every other
 candidate is skipped when one divergence proves its bound below the best
-one so far; OSUB keeps no state for this.
+one so far. Its certify() solves the leader's inverse once, at the run's
+lowest mean and budget, less a slack it proves, and checks each other
+candidate's bound below that with the same skip test; it then counts the
+run's leader rounds, as the run's select calls would.
 """
 
 import math
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 from .env import leader
 from .errors import ParameterError
-from .expfam import C_MAX, guard_band
+from .expfam import BISECT_TOL, C_MAX, Family, guard_band
 
 
 def _argmax_lowest(stats):
@@ -28,6 +31,12 @@ def _argmax_lowest(stats):
     means = stats.means
     return means.index(max(means))
 
+
+# leader_floor takes LEADER_SLACK off the leader's KL upper inverse, and
+# proves no floor for an inverse of _LEADER_BOUND_MAX or more in size,
+# where an ulp exceeds 2^-37 (Osub.certify proves the slack)
+LEADER_SLACK = 2.0 * BISECT_TOL
+_LEADER_BOUND_MAX = 2.0**16
 
 # an index floor is taken at mu* - _FLOOR_SLACK (mu* - mean), a little below
 # the best mean, so that it still holds after the best mean drops a little
@@ -53,6 +62,8 @@ class _IndexRule:
         self._key_m = [0.0] * arm_count
         self._ref = [0.0] * arm_count
         self._cut = [math.nan] * arm_count
+        # the candidate that refused certify's last call
+        self._refuser = 0
 
     def _store_floor(self, a, n, x, ref):
         """Store and return the cut of arm a's floor at ref, for the count n
@@ -120,6 +131,9 @@ class _IndexRule:
         lead alone, and the rule picks it. A cached floor serves when its
         key matches and its ref is at most m_min; every other floor is
         evaluated at m_min, one divergence, and stored.
+
+        The candidate that refused the last call is tried first if it is
+        one of lead's: a refusal usually repeats at the same arm.
         """
         counts = stats.counts
         means = stats.means
@@ -128,7 +142,11 @@ class _IndexRule:
         refs = self._ref
         cuts = self._cut
         log_last = math.log(counts[lead] + k - 1)
-        for a in self._cands[lead]:
+        cands = self._cands[lead]
+        if self._refuser in cands:
+            # a floor it passes is stored, and serves its second visit
+            cands = (self._refuser,) + cands
+        for a in cands:
             if a == lead:
                 continue
             n = counts[a]
@@ -136,6 +154,7 @@ class _IndexRule:
             if cuts[a] > log_last and m_min >= refs[a] and key_n[a] == n and key_m[a] == x:
                 continue
             if not self._store_floor(a, n, x, m_min) > log_last:
+                self._refuser = a
                 return False
         return True
 
@@ -207,6 +226,8 @@ class Osub:
         self.c = float(c)
         self._cands = tuple(graph.candidates(a) for a in range(graph.arm_count))
         self.leader_rounds = [0] * graph.arm_count
+        # the Newton solver's start gives certify its cheap pre-test
+        self._newton = type(family).kl_upper_inverse is Family.kl_upper_inverse
 
     def _bonus(self, rounds):
         b = math.log(rounds)
@@ -243,6 +264,120 @@ class Osub:
                 best_val = v
                 best = a
         return best
+
+    def certify(self, stats, lead, k, m_min):
+        """Whether select picks lead on each of the next k decisions,
+        given that lead keeps a strict maximum of the empirical means
+        throughout and that its mean is at least m_min on each of them.
+        If so, it adds k to leader_rounds[lead], as those k select calls
+        would; otherwise it changes nothing.
+
+        The run. Decision i < k sees lead with count n_L + i and a mean
+        m_i >= m_min that no other arm reaches, so _argmax_lowest returns
+        lead and the call raises lead's rounds from l + i to l + i + 1,
+        l = leader_rounds[lead] now, and no other arm's. With gamma = 0
+        every round is forced and pulls lead. Otherwise lead's bound is
+        r_i = kl_upper_inverse(m_i, B_i), B_i = bonus(l + i + 1)/(n_L + i)
+        >= B = bonus(l + 1)/(n_L + k - 1), and a candidate a keeps its
+        count n_a and its mean x_a < m_min, at a budget of at most b_a =
+        bonus(l + k)/n_a. With w = kl_upper_inverse(m_min, B) and v = w -
+        LEADER_SLACK (leader_floor), certify asks each candidate for x_a <
+        v and d = kl(x_a, v) > b_a + guard_band(d, b_a, 1): select's skip
+        test at v (class docstring), so a's bound is below v on every
+        decision, whether select skips a or solves it. Then r_i >= v
+        makes lead's bound the strict maximum, and select picks lead.
+
+        The slack, LEADER_SLACK = 2 TOL with TOL = BISECT_TOL, gives r_i
+        >= v. K is the exact divergence, and e, a few eps (1 + B), bounds
+        kl's rounding (class docstring) and the budgets'; guard_band(B, B,
+        1) exceeds 2e.
+        (1) Bracket. kl_upper_inverse returns the low end r_i of a bracket
+        whose top h_i is at most r_i + TOL. Either kl(m_i, h_i) > B_i as
+        kl computes it, so K(m_i, h_i) > B_i - e, or h_i is the bracket's
+        first top: 1 for Bernoulli, and for Exponential a top that rises
+        with the mean and the budget (log, exp and rounding are monotone),
+        so h_i is at least w's top, at least w. The solver narrows the
+        bracket until it is TOL wide; below 2^16 an ulp is under TOL, so
+        it cannot stall wider, and tests/test_expfam.py finds it closed
+        within 49 of its BISECT_MAX_ITER steps on sampled inputs.
+        Gaussian's closed form steps down an ulp while kl exceeds B_i, so
+        its h_i is r_i's next float: kl exceeded B_i there, or the
+        unstepped form rounded less than an ulp low. Either way K(m_i,
+        h_i) > B_i - e.
+        (2) Monotonicity. h_i > m_i >= m_min, and K(m, q) does not increase
+        in m below q, so K(m_min, h_i) > B - 2e.
+        (3) Flatness. Let p = w - TOL/2. Unless p <= m_min, leader_floor
+        asks kl(m_min, p) < B - guard_band(B, B, 1), so K(m_min, p) <
+        B - 2e, and K(m_min, .) increases above m_min: p < h_i. Where a
+        tiny budget leaves kl's rounding above its rise over TOL/2, the
+        check fails and certify refuses.
+        (4) Every bound is at least its mean, so r_i >= m_min, which is
+        above v if p <= m_min. Otherwise r_i >= h_i - max(TOL, ulp(r_i))
+        and h_i > p; where r_i < w, leader_floor's |w| < 2^16 puts r_i
+        within about 2^16 of 0, so its ulp is under TOL and r_i > w -
+        1.5 TOL. v is w - 2 TOL rounded by half an ulp of w, at most
+        2^-38, so it lies below that.
+
+        Before the solve, a cheap point u, _inverse_start plus one Newton
+        step, refuses where a candidate already fails against it (not for
+        Gaussian, whose inverse is a closed form). u is usually at or
+        above w, so such a candidate fails against v too; a refusal is
+        always safe, so u needs no proof.
+        """
+        rounds = self.leader_rounds[lead]
+        if self.gamma == 0:
+            # every round is forced
+            self.leader_rounds[lead] = rounds + k
+            return True
+        counts = stats.counts
+        family = self.family
+        budget = self._bonus(rounds + 1) / (counts[lead] + k - 1)
+        bonus = self._bonus(rounds + k)
+        if self._newton:
+            q = family._inverse_start(m_min, budget)
+            if m_min < q < family.mean_hi:
+                f, s = family._kl_newton(m_min, q)
+                u = q - (f - budget) / s
+                if m_min < u < family.mean_hi and not self._below(stats, lead, u, bonus):
+                    return False
+        v = leader_floor(family, m_min, budget)
+        if v is None or not self._below(stats, lead, v, bonus):
+            return False
+        self.leader_rounds[lead] = rounds + k
+        return True
+
+    def _below(self, stats, lead, v, bonus):
+        """Whether select's skip test, at v and the budget bonus / count,
+        proves every candidate but lead below v."""
+        counts = stats.counts
+        means = stats.means
+        kl = self.family.kl
+        for a in self._cands[lead]:
+            if a == lead:
+                continue
+            x = means[a]
+            if not x < v:
+                return False
+            b = bonus / counts[a]
+            d = kl(x, v)
+            if not d > b + guard_band(d, b, 1):
+                return False
+        return True
+
+
+def leader_floor(family, mean, budget):
+    """kl_upper_inverse(mean, budget) - LEADER_SLACK, below the inverse at
+    any mean and budget at least these (Osub.certify proves it), or None
+    where that is not proven: at an inverse of size _LEADER_BOUND_MAX or
+    more, or where kl is too flat near the root to place it within
+    BISECT_TOL / 2."""
+    w = family.kl_upper_inverse(mean, budget)
+    if not -_LEADER_BOUND_MAX < w < _LEADER_BOUND_MAX:
+        return None
+    p = w - 0.5 * BISECT_TOL
+    if mean < p and not family.kl(mean, p) < budget - guard_band(budget, budget, 1):
+        return None
+    return w - LEADER_SLACK
 
 
 def require_c(c):

@@ -354,17 +354,19 @@ def simulate_policy_run(bandit, spec, seed_seq, horizon):
     seed_seq is left as it is, so one object passed twice gives the same
     log.
 
-    IMED-UB and IMED decide most steps by pulling the leader, so after
-    each of their select calls the loop tries a run of leader pulls. It
+    A rule with a certify (IMED-UB, IMED and OSUB) decides most steps by
+    pulling the leader, so after each of its select calls the loop tries a
+    run of leader pulls; UTS has none and takes one select per step. A run
     needs an arm L whose empirical mean is a strict maximum, and reads L's
     next rewards without serving them, adding them to L's sum one at a
     time, as record does. Decision i of the run sees L's mean m_i after i
     more pulls; the run stops before the first m_i that is not above every
     other mean. The rule's certify(stats, L, k, m_min), with m_min the
     least of m_0, ..., m_(k-1), must then vouch that select picks L on all
-    k decisions, and only then are the k pulls applied at once, leaving
-    L's count, sum and mean as k record calls would. A run pulled in full doubles the next
-    try; a shorter, refused or empty one starts again at
+    k decisions, leaving the rule's state as those k calls would (OSUB's
+    leader rounds), and only then are the k pulls applied at once, leaving
+    L's count, sum and mean as k record calls would. A run pulled in full
+    doubles the next try; a shorter, refused or empty one starts again at
     _LEADER_RUN_START. The log is the one select gives step by step.
 
     Returns the run's pull log (actions, rewards), two arrays of horizon

@@ -19,6 +19,8 @@ from unimodal_bandits import (
     make_family,
 )
 from unimodal_bandits.expfam import (
+    BISECT_MAX_ITER,
+    BISECT_TOL,
     BUDGET_MAX,
     MEAN_MAX,
     MEAN_MIN,
@@ -29,6 +31,7 @@ from unimodal_bandits.expfam import (
     VARIANCE_MIN,
     guard_band,
 )
+from unimodal_bandits.policies import LEADER_SLACK, leader_floor
 
 from conftest import FAMILIES, bisect_kl_upper_inverse, variance_sup
 
@@ -452,6 +455,86 @@ def test_inverse_at_the_domain_corners(family):
             r = family.kl_upper_inverse(mu, budget)
             assert math.isfinite(r) and r >= mu, (mu, budget, r)
             assert r == mu or family.kl(mu, r) <= budget, (mu, budget, r)
+
+
+# means where an inverse stays below the leader bound Osub.certify takes,
+# and budgets from 1e-300, where kl is too flat to place the root, to the
+# largest
+SMALL_MEANS = {
+    "bernoulli": DOMAIN_MEANS["bernoulli"],
+    "gaussian": st.floats(-100.0, 100.0),
+    "exponential": st.floats(LEAST, 100.0),
+}
+BUDGETS = st.sampled_from([1e-300, 1e-14, BUDGET_MAX]) | st.floats(1e-12, BUDGET_MAX) | st.floats(
+    -300.0, math.log10(BUDGET_MAX)
+).map(lambda e: min(10.0**e, BUDGET_MAX))
+
+
+def at_least(x, top):
+    """Values of [x, top], x itself, its next float and x + 1 among them."""
+    return st.sampled_from([x, min(math.nextafter(x, math.inf), top)]) | st.floats(
+        x, min(x + 1.0, top)
+    ) | st.floats(x, top)
+
+
+@pytest.mark.parametrize("family", KL_FAMILIES, ids=KL_IDS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_inverse_is_monotone_within_the_leader_slack(family, data):
+    # what Osub.certify's slack rests on: wherever leader_floor proves a
+    # floor at (mu, budget), the inverse at a mean and a budget at least
+    # these is at least the inverse at (mu, budget) less LEADER_SLACK
+    mu = data.draw(SMALL_MEANS[family.name] | DOMAIN_MEANS[family.name])
+    budget = data.draw(BUDGETS)
+    mu2 = data.draw(at_least(mu, family.mean_hi))
+    if 0.0 < mu2 < family.mean_lo:
+        mu2 = family.mean_lo
+    budget2 = data.draw(at_least(budget, BUDGET_MAX))
+    if leader_floor(family, mu, budget) is not None:
+        inverse = family.kl_upper_inverse
+        assert inverse(mu2, budget2) >= inverse(mu, budget) - LEADER_SLACK, (mu, budget)
+
+
+def test_leader_floor_refuses_where_kl_is_flat_or_the_inverse_large():
+    bern = Bernoulli()
+    assert leader_floor(bern, 0.2, 0.01) == bern.kl_upper_inverse(0.2, 0.01) - LEADER_SLACK
+    # below kl's rounding, a few eps, the solver's result is rounding
+    # noise, up to about 1e-9 above the mean: no floor above the mean is
+    # proven, and where the noise lifts the result, none at all
+    floors = [
+        (mean, leader_floor(bern, mean, budget))
+        for mean in (0.2, 0.625, 0.999)
+        for budget in (1e-300, 1e-30, 1e-20, 1e-17)
+    ]
+    assert any(f is None for _, f in floors)
+    assert all(f is None or f < mean for mean, f in floors)
+    assert leader_floor(Gaussian(0.25), 1e5, 1.0) is None
+    assert leader_floor(Exponential(), 1e5, 1.0) is None
+
+
+@pytest.mark.parametrize("family", [Bernoulli(), Exponential()], ids=lambda f: f.name)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_inverse_closes_its_bracket_below_the_leader_bound(family, data):
+    # step (1) of Osub.certify's proof: for a result r below 2^16 in size
+    # the Newton solver stops with its bracket at most BISECT_TOL wide,
+    # its top an evaluated point of kl above the budget or its first top
+    seen = []
+
+    class Spy(type(family)):
+        def _kl_newton(self, mu, q):
+            f, s = super()._kl_newton(mu, q)
+            seen.append((q, f))
+            return f, s
+
+    mu = data.draw(SMALL_MEANS[family.name])
+    budget = data.draw(BUDGETS)
+    r = Spy().kl_upper_inverse(mu, budget)
+    top = family._inverse_top(mu, budget)
+    if abs(r) < 2.0**16 and mu < top:
+        assert len(seen) < BISECT_MAX_ITER
+        h = min([q for q, f in seen if f > budget] + [top])
+        assert r < h <= r + BISECT_TOL, (mu, budget, r, h)
 
 
 def kl_target_slope(family, mu, out):

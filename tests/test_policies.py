@@ -1,5 +1,6 @@
 """Policy tests: index values, selection rules, baselines, tie-breaking."""
 
+import copy
 import math
 from pathlib import Path
 
@@ -114,6 +115,7 @@ def test_index_floor_property():
 
 
 GRID36 = Path(__file__).resolve().parents[1] / "bench" / "configs" / "grid36_exponential.json"
+HILL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hill9_bernoulli.json"
 
 PARITY_BANDITS = {
     "bernoulli-hill": lambda: BanditConfig(BERN, HILL_MEANS, line_graph(9)),
@@ -200,7 +202,7 @@ def test_index_rules_match_the_oracle_loops_on_drawn_instances(bandit, rule, run
     assert_matches_oracle(bandit, rule, run, horizon)
 
 
-@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
+@pytest.mark.parametrize("rule", ["imed-ub", "imed", "osub"])
 @pytest.mark.parametrize("name", ["bernoulli-hill", "gaussian-hill", "exponential-hill"])
 def test_leader_runs_match_the_per_step_loop(name, rule):
     # 50 runs of the acceptance study's seed, run 420 among them, against
@@ -213,8 +215,20 @@ def test_leader_runs_match_the_per_step_loop(name, rule):
         assert log_bits(*log) == log_bits(*simulate_loop(bandit, spec, seed_seq, 5000)), run
 
 
+# every rule with a certify: the index rules, and OSUB at each gamma and c
+CERTIFIED_SPECS = {
+    "imed-ub": PolicySpec("imed-ub"),
+    "imed": PolicySpec("imed"),
+    **{
+        f"osub-gamma{gamma}-c{c:g}": PolicySpec("osub", gamma=gamma, c=c)
+        for gamma in (0, 1, 2, None)
+        for c in (0.0, 1.0)
+    },
+}
+
+
 @pytest.mark.parametrize("certified", ["as-is", "seeded-refusals", "never"])
-@pytest.mark.parametrize("rule", ["imed-ub", "imed"])
+@pytest.mark.parametrize("rule", sorted(CERTIFIED_SPECS))
 @pytest.mark.parametrize("name", sorted(PARITY_BANDITS))
 def test_leader_runs_match_the_per_step_loop_whatever_certify_says(
     monkeypatch, name, rule, certified
@@ -222,26 +236,34 @@ def test_leader_runs_match_the_per_step_loop_whatever_certify_says(
     # a refused run has read the leader's next rewards, which its later
     # pulls must still be served; a run that reads across the end of the
     # leader's 512-draw block reads on into the next one
-    certify = _IndexRule.certify
+    spec = CERTIFIED_SPECS[rule]
+    owner = Osub if spec.name == "osub" else _IndexRule
+    certify = owner.certify
     coin = np.random.default_rng(11)
     crossing = []
 
     def watched(self, stats, lead, k, m_min):
-        ok = certified != "never" and certify(self, stats, lead, k, m_min)
-        if certified == "seeded-refusals" and coin.random() < 0.5:
-            ok = False
+        seeded = certified == "seeded-refusals" and coin.random() < 0.5
+        if owner is Osub:
+            # an accepting Osub.certify has already counted the run's
+            # leader rounds, so its seeded refusal comes before the call
+            ok = certified != "never" and not seeded and certify(self, stats, lead, k, m_min)
+        else:
+            ok = certified != "never" and certify(self, stats, lead, k, m_min) and not seeded
         n = stats.counts[lead]
         if n // runner._REWARD_BLOCK != (n + k - 1) // runner._REWARD_BLOCK:
             crossing.append(ok)
         return ok
 
-    monkeypatch.setattr(_IndexRule, "certify", watched)
+    monkeypatch.setattr(owner, "certify", watched)
     bandit = PARITY_BANDITS[name]()
-    spec = PolicySpec(rule)
+    # OSUB with c = 1 certifies few runs on grid36 before T = 5000, and
+    # none that crosses a block's end
+    horizon = 8000 if name == "grid36" else 5000
     for run in (0, 420):
         seed_seq = seed_sequence(20260810, run, 0)
-        log = simulate_policy_run(bandit, spec, seed_seq, 5000)
-        assert log_bits(*log) == log_bits(*simulate_loop(bandit, spec, seed_seq, 5000)), run
+        log = simulate_policy_run(bandit, spec, seed_seq, horizon)
+        assert log_bits(*log) == log_bits(*simulate_loop(bandit, spec, seed_seq, horizon)), run
     # certified runs crossed a block's end, or refused ones did
     assert (certified == "as-is") in crossing
 
@@ -271,6 +293,57 @@ def test_imed_ub_decides_most_hill_steps_in_leader_runs(monkeypatch):
     assert len(calls) <= 0.2 * (20000 - 9)
 
 
+def test_osub_decides_most_hill_steps_in_leader_runs(monkeypatch):
+    # run 0 of the acceptance study's osub at T = 20000: select decides
+    # 5002 steps, 25.0%, and leader runs the rest
+    cfg = load_config(HILL_CONFIG)
+    idx = [p.name for p in cfg.policies].index("osub")
+    calls = []
+    select = Osub.select
+
+    def counted(self, stats):
+        calls.append(stats.t)
+        return select(self, stats)
+
+    monkeypatch.setattr(Osub, "select", counted)
+    simulate_policy_run(
+        cfg.bandit_config(), cfg.policies[idx], seed_sequence(cfg.seed, 0, idx), 20000
+    )
+    assert len(calls) <= 0.3 * (20000 - 9)
+
+
+@pytest.mark.parametrize("rule", ["osub-gammaNone-c0", "osub-gamma1-c1"])
+@pytest.mark.parametrize("name", sorted(PARITY_BANDITS))
+def test_osub_certify_counts_the_rounds_its_selects_would(monkeypatch, name, rule):
+    # wherever certify accepts, a copy of the rule taken before it makes
+    # the run's k select calls on a copy of the PullStats, pulling the
+    # logged rewards: each returns lead, and the copy's leader rounds end
+    # where certify left the rule's
+    spec = CERTIFIED_SPECS[rule]
+    accepted = []
+    certify = Osub.certify
+
+    def watched(self, stats, lead, k, m_min):
+        before = copy.deepcopy(self), copy.deepcopy(stats)
+        ok = certify(self, stats, lead, k, m_min)
+        if ok:
+            accepted.append((*before, lead, k, list(self.leader_rounds)))
+        return ok
+
+    monkeypatch.setattr(Osub, "certify", watched)
+    actions, rewards = simulate_policy_run(
+        PARITY_BANDITS[name](), spec, seed_sequence(20260810, 0, 0), 5000
+    )
+    assert len(accepted) > 20
+    for rule_copy, stats, lead, k, rounds in accepted:
+        t = stats.t
+        assert actions[t:t + k].tolist() == [lead] * k
+        for x in rewards[t:t + k]:
+            assert rule_copy.select(stats) == lead
+            stats.record(lead, float(x))
+        assert rule_copy.leader_rounds == rounds
+
+
 @pytest.mark.parametrize("name", sorted(PARITY_BANDITS))
 def test_osub_matches_the_oracle_loop(name):
     # runs 0 and 420 of the acceptance study's seed; c = 3 adds the
@@ -282,8 +355,8 @@ def test_osub_matches_the_oracle_loop(name):
 
 
 @settings(max_examples=40, deadline=None)
-@given(bandit=unimodal_bandits(), gamma=st.sampled_from([None, 1]),
-       c=st.sampled_from([0.0, 3.0]), run=st.integers(0, 2**16))
+@given(bandit=unimodal_bandits(), gamma=st.sampled_from([None, 0, 1, 2]),
+       c=st.sampled_from([0.0, 1.0, 3.0]), run=st.integers(0, 2**16))
 def test_osub_matches_the_oracle_loop_on_drawn_instances(bandit, gamma, c, run):
     assert_matches_oracle(bandit, "osub", run, 600, PolicySpec("osub", gamma=gamma, c=c))
 
